@@ -9,7 +9,7 @@
 //! with spatially coherent boundaries — is preserved.
 
 use crate::latlon::LatLon;
-use eoml_util::noise::Fbm;
+use eoml_util::noise::{Fbm, FbmCursor};
 
 /// Deterministic global land/ocean mask.
 #[derive(Debug, Clone, Copy)]
@@ -44,14 +44,20 @@ impl LandMask {
     /// Continuous "elevation-like" field value in `[0, 1)` at a point.
     /// Values above the threshold are land.
     pub fn field_value(&self, p: &LatLon) -> f64 {
+        self.field_with(p, |_, x, y| self.field.sample(x, y))
+    }
+
+    /// [`field_value`](Self::field_value) with the field's phase-`k`
+    /// sample at `(x, y)` supplied by `sample(k, x, y)`.
+    fn field_with(&self, p: &LatLon, mut sample: impl FnMut(usize, f64, f64) -> f64) -> f64 {
         // Project onto a cylinder with two longitude phases to hide the
         // antimeridian seam: blend noise sampled at lon and lon+180° with
         // weights that swap smoothly across the seam.
         let x1 = (p.lon + 180.0) * self.scale / 1.0;
         let x2 = (p.lon.rem_euclid(360.0)) * self.scale / 1.0;
         let y = (p.lat + 90.0) * self.scale;
-        let v1 = self.field.sample(x1, y);
-        let v2 = self.field.sample(x2 + 61.7, y + 13.3);
+        let v1 = sample(0, x1, y);
+        let v2 = sample(1, x2 + 61.7, y + 13.3);
         // Weight: 1 near lon=0, 0 near ±180, smooth.
         let w = 0.5 * (1.0 + (p.lon.to_radians()).cos());
         // Polar caps get an elevation boost so high latitudes trend toward
@@ -63,6 +69,15 @@ impl LandMask {
     /// Whether the point is land.
     pub fn is_land(&self, p: &LatLon) -> bool {
         self.field_value(p) >= self.threshold
+    }
+
+    /// A memoising land/ocean lookup for sweeps of neighbouring points
+    /// (scan lines); see [`LandCursor`].
+    pub fn cursor(&self) -> LandCursor<'_> {
+        LandCursor {
+            mask: self,
+            phases: [self.field.cursor(), self.field.cursor()],
+        }
     }
 
     /// Whether the point is ocean.
@@ -88,9 +103,27 @@ impl LandMask {
     }
 }
 
+/// [`LandMask::is_land`] over an [`FbmCursor`] per longitude phase:
+/// successive points along a scan line reuse the lattice cells they share.
+/// Answers exactly as [`LandMask::is_land`] does, for points in any order.
+#[derive(Debug, Clone)]
+pub struct LandCursor<'a> {
+    mask: &'a LandMask,
+    phases: [FbmCursor<'a>; 2],
+}
+
+impl LandCursor<'_> {
+    /// Whether the point is land.
+    pub fn is_land(&mut self, p: &LatLon) -> bool {
+        let phases = &mut self.phases;
+        self.mask.field_with(p, |k, x, y| phases[k].sample(x, y)) >= self.mask.threshold
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn mask_is_deterministic() {
@@ -187,6 +220,40 @@ mod tests {
             );
             let v = m.field_value(&p);
             assert!((0.0..1.0).contains(&v), "{v}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn cursor_agrees_with_is_land(
+            seed in any::<u64>(),
+            lat0 in -90.0f64..90.0,
+            lon0 in -180.0f64..180.0,
+            dlat in -0.05f64..0.05,
+            dlon in -0.2f64..0.2,
+        ) {
+            // Scan-line-like sweeps from a random start, plus one that
+            // crosses the antimeridian and one that runs over a pole
+            // (longitudes wrap, latitudes clamp to ±90).
+            let m = LandMask::earth_like(seed);
+            let mut c = m.cursor();
+            let sweeps = [
+                (lat0, lon0, dlat, dlon),
+                (lat0 * 0.5, 179.0, dlat, 0.01),
+                (88.0, lon0, 0.01, dlon),
+                (-88.0, lon0, -0.01, dlon),
+            ];
+            for (la, lo, dla, dlo) in sweeps {
+                for i in 0..300 {
+                    let lat = (la + i as f64 * dla).clamp(-90.0, 90.0);
+                    let lon = (lo + i as f64 * dlo + 180.0).rem_euclid(360.0) - 180.0;
+                    let p = LatLon::new(lat, lon);
+                    prop_assert_eq!(c.is_land(&p), m.is_land(&p), "at {:?}", p);
+                    let phases = &mut c.phases;
+                    let field = m.field_with(&p, |k, x, y| phases[k].sample(x, y));
+                    prop_assert_eq!(field.to_bits(), m.field_value(&p).to_bits());
+                }
+            }
         }
     }
 }

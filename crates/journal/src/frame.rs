@@ -10,6 +10,8 @@
 //! corruption. Decoding never fails hard — a bad frame yields
 //! `FrameOutcome::Torn`, which recovery treats as "the journal ends here".
 
+use eoml_util::checksum::{crc32, crc32_update};
+
 /// Upper bound on a single frame's payload. Events are small JSON blobs;
 /// anything larger is corruption.
 pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
@@ -17,31 +19,11 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 /// Header size in bytes (length + checksum).
 pub const HEADER_LEN: usize = 8;
 
-/// CRC-32 (IEEE 802.3, reflected) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    crc32_seeded(0xffff_ffff, data)
-}
-
-/// Continue a CRC-32 from an intermediate register value (pass
-/// `!previous` to chain; [`crc32`] starts from the standard seed).
-fn crc32_seeded(seed: u32, data: &[u8]) -> u32 {
-    let mut crc: u32 = seed;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
 /// The frame checksum: CRC-32 chained over the 4 length bytes then the
 /// payload, so a frame whose length field was zero-filled (or otherwise
 /// altered) fails verification even if the payload bytes still match.
 fn frame_crc(len: u32, payload: &[u8]) -> u32 {
-    let head = crc32(&len.to_le_bytes());
-    crc32_seeded(!head, payload)
+    crc32_update(crc32(&len.to_le_bytes()), payload)
 }
 
 /// Serialise one frame. Payloads must be non-empty: an empty frame is
@@ -106,17 +88,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crc_matches_known_vector() {
-        // Standard check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn frame_crc_chains_over_length_then_payload() {
+        let payload = b"abcdefgh12345";
+        let mut whole = (payload.len() as u32).to_le_bytes().to_vec();
+        whole.extend_from_slice(payload);
+        assert_eq!(frame_crc(payload.len() as u32, payload), crc32(&whole));
     }
 
     #[test]
-    fn chained_crc_equals_one_shot() {
-        let data = b"abcdefgh12345";
-        let (a, b) = data.split_at(5);
-        assert_eq!(crc32_seeded(!crc32(a), b), crc32(data));
+    fn frame_written_by_the_bitwise_crc_still_decodes() {
+        // Bytes of `encode(br#"{"k":"journal frame v1"}"#)` as written by
+        // the bit-at-a-time CRC this module used before the shared
+        // table-driven one: journals on disk must stay readable.
+        let old: [u8; 32] = [
+            24, 0, 0, 0, 5, 201, 220, 225, 123, 34, 107, 34, 58, 34, 106, 111, 117, 114, 110, 97,
+            108, 32, 102, 114, 97, 109, 101, 32, 118, 49, 34, 125,
+        ];
+        let payload = br#"{"k":"journal frame v1"}"#;
+        assert_eq!(encode(payload), old);
+        assert_eq!(
+            decode_at(&old, 0),
+            FrameOutcome::Ok {
+                payload,
+                next: old.len()
+            }
+        );
     }
 
     #[test]

@@ -23,8 +23,13 @@
 //!     data  (elem_size × Π dims bytes)
 //! ```
 
+use eoml_util::checksum::crc32_update;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected) — the workspace's one
+/// implementation, re-exported where the container format names it.
+pub use eoml_util::checksum::crc32;
 
 /// Container format magic bytes.
 pub const MAGIC: &[u8; 4] = b"EOGR";
@@ -115,11 +120,21 @@ impl DatasetData {
         }
     }
 
-    fn to_bytes(&self) -> Vec<u8> {
+    /// Payload size in bytes.
+    fn byte_len(&self) -> usize {
         match self {
-            DatasetData::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
-            DatasetData::U8(v) => v.clone(),
-            DatasetData::I32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            DatasetData::F32(v) => 4 * v.len(),
+            DatasetData::U8(v) => v.len(),
+            DatasetData::I32(v) => 4 * v.len(),
+        }
+    }
+
+    /// Append the little-endian payload to `out`; returns its CRC-32.
+    fn write_le(&self, out: &mut Vec<u8>) -> u32 {
+        match self {
+            DatasetData::F32(v) => write_words(out, v, f32::to_le_bytes),
+            DatasetData::U8(v) => write_words(out, v, |b| [b]),
+            DatasetData::I32(v) => write_words(out, v, i32::to_le_bytes),
         }
     }
 
@@ -230,7 +245,7 @@ impl Container {
 
     /// Serialize to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&(self.attrs.len() as u16).to_le_bytes());
@@ -249,11 +264,29 @@ impl Container {
             for &d in &ds.dims {
                 out.extend_from_slice(&d.to_le_bytes());
             }
-            let bytes = ds.data.to_bytes();
-            out.extend_from_slice(&crc32(&bytes).to_le_bytes());
-            out.extend_from_slice(&bytes);
+            // The CRC precedes the data it covers: reserve its slot and
+            // patch it once the payload is written.
+            let crc_at = out.len();
+            out.extend_from_slice(&[0; 4]);
+            let crc = ds.data.write_le(&mut out);
+            out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
         }
         out
+    }
+
+    /// Exact size of [`encode`](Self::encode)'s output.
+    fn encoded_len(&self) -> usize {
+        let attrs: usize = self
+            .attrs
+            .iter()
+            .map(|(k, v)| 2 + k.len() + 4 + v.len())
+            .sum();
+        let datasets: usize = self
+            .datasets
+            .iter()
+            .map(|ds| 2 + ds.name.len() + 2 + 4 * ds.dims.len() + 4 + ds.data.byte_len())
+            .sum();
+        MAGIC.len() + 2 + 2 + attrs + 2 + datasets
     }
 
     /// Deserialize and validate checksums.
@@ -280,7 +313,9 @@ impl Container {
             attrs.insert(key, value);
         }
         let n_datasets = cur.u16()?;
-        let mut datasets = Vec::with_capacity(n_datasets as usize);
+        // Every dataset header takes at least 8 bytes: bound the reserve
+        // by what the buffer can hold, not by the header's claim.
+        let mut datasets = Vec::with_capacity((n_datasets as usize).min(cur.remaining() / 8));
         for _ in 0..n_datasets {
             let nlen = cur.u16()? as usize;
             let name = std::str::from_utf8(cur.take(nlen)?)
@@ -319,6 +354,10 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
         if self.pos + n > self.buf.len() {
             return Err(ContainerError::Truncated);
@@ -343,29 +382,25 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+/// Append `words` to `out` as `N`-byte little-endian groups and return
+/// their CRC-32. Written and checksummed block by block, so each block is
+/// still in cache when the CRC reads it back.
+fn write_words<T: Copy, const N: usize>(
+    out: &mut Vec<u8>,
+    words: &[T],
+    le: impl Fn(T) -> [u8; N],
+) -> u32 {
+    const BLOCK_BYTES: usize = 32 * 1024;
+    let mut crc = 0;
+    for block in words.chunks(BLOCK_BYTES / N) {
+        let start = out.len();
+        out.resize(start + N * block.len(), 0);
+        for (dst, &w) in out[start..].chunks_exact_mut(N).zip(block) {
+            dst.copy_from_slice(&le(w));
         }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        crc = crc32_update(crc, &out[start..]);
     }
-    crc ^ 0xFFFF_FFFF
+    crc
 }
 
 #[cfg(test)]
@@ -485,5 +520,77 @@ mod tests {
         let c = Container::new().with_attr("τ", "café ☁");
         let back = Container::decode(&c.encode()).unwrap();
         assert_eq!(back.attrs["τ"], "café ☁");
+    }
+
+    /// The container layout written field by field, the payload converted
+    /// in one piece and checksummed afterwards.
+    fn reference_encode(c: &Container) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&(c.attrs.len() as u16).to_le_bytes());
+        for (k, v) in &c.attrs {
+            out.extend_from_slice(&(k.len() as u16).to_le_bytes());
+            out.extend_from_slice(k.as_bytes());
+            out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            out.extend_from_slice(v.as_bytes());
+        }
+        out.extend_from_slice(&(c.datasets.len() as u16).to_le_bytes());
+        for ds in &c.datasets {
+            out.extend_from_slice(&(ds.name.len() as u16).to_le_bytes());
+            out.extend_from_slice(ds.name.as_bytes());
+            out.push(ds.data.dtype_tag());
+            out.push(ds.dims.len() as u8);
+            for &d in &ds.dims {
+                out.extend_from_slice(&d.to_le_bytes());
+            }
+            let bytes: Vec<u8> = match &ds.data {
+                DatasetData::F32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+                DatasetData::U8(v) => v.clone(),
+                DatasetData::I32(v) => v.iter().flat_map(|x| x.to_le_bytes()).collect(),
+            };
+            out.extend_from_slice(&crc32(&bytes).to_le_bytes());
+            out.extend_from_slice(&bytes);
+        }
+        out
+    }
+
+    #[test]
+    fn encode_writes_the_reference_bytes_in_one_allocation() {
+        // Payloads longer than one write block, of every dtype.
+        let n: usize = 20_011;
+        let c = sample()
+            .with_dataset(Dataset::new(
+                "long_f32",
+                vec![n as u32],
+                DatasetData::F32((0..n).map(|i| i as f32 * -0.37).collect()),
+            ))
+            .with_dataset(Dataset::new(
+                "long_u8",
+                vec![n as u32],
+                DatasetData::U8((0..n).map(|i| (i * 7) as u8).collect()),
+            ))
+            .with_dataset(Dataset::new(
+                "long_i32",
+                vec![n as u32],
+                DatasetData::I32((0..n as i32).map(|i| i * -3).collect()),
+            ));
+        let bytes = c.encode();
+        assert_eq!(bytes, reference_encode(&c));
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "encode reserves the exact size"
+        );
+        assert_eq!(Container::decode(&bytes).unwrap(), c);
+    }
+
+    #[test]
+    fn dataset_count_does_not_drive_the_reserve() {
+        // A header claiming 65535 datasets in a 10-byte buffer is
+        // truncated, not a large allocation.
+        let mut bytes = Container::new().encode();
+        let at = bytes.len() - 2;
+        bytes[at..].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(Container::decode(&bytes), Err(ContainerError::Truncated));
     }
 }

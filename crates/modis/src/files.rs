@@ -169,32 +169,40 @@ fn parse_id(c: &Container) -> Result<(GranuleId, SwathDims), ProductFileError> {
     ))
 }
 
-fn f32_dataset(c: &Container, name: &str, n: usize) -> Result<Vec<f32>, ProductFileError> {
-    let ds = c
-        .dataset(name)
+/// Move dataset `name` out of `c`, checking it holds `n` elements of the
+/// variant `take` accepts.
+fn take_dataset<T>(
+    c: &mut Container,
+    name: &str,
+    n: usize,
+    take: impl FnOnce(DatasetData) -> Option<Vec<T>>,
+) -> Result<Vec<T>, ProductFileError> {
+    let at = c
+        .datasets
+        .iter()
+        .position(|d| d.name == name)
         .ok_or_else(|| ProductFileError::MissingDataset(name.to_string()))?;
-    let v = ds
-        .data
-        .as_f32()
-        .ok_or_else(|| ProductFileError::BadDataset(name.to_string()))?;
+    let bad = || ProductFileError::BadDataset(name.to_string());
+    let data = std::mem::replace(&mut c.datasets[at].data, DatasetData::U8(Vec::new()));
+    let v = take(data).ok_or_else(bad)?;
     if v.len() != n {
-        return Err(ProductFileError::BadDataset(name.to_string()));
+        return Err(bad());
     }
-    Ok(v.to_vec())
+    Ok(v)
 }
 
-fn u8_dataset(c: &Container, name: &str, n: usize) -> Result<Vec<u8>, ProductFileError> {
-    let ds = c
-        .dataset(name)
-        .ok_or_else(|| ProductFileError::MissingDataset(name.to_string()))?;
-    let v = ds
-        .data
-        .as_u8()
-        .ok_or_else(|| ProductFileError::BadDataset(name.to_string()))?;
-    if v.len() != n {
-        return Err(ProductFileError::BadDataset(name.to_string()));
+fn f32_data(d: DatasetData) -> Option<Vec<f32>> {
+    match d {
+        DatasetData::F32(v) => Some(v),
+        _ => None,
     }
-    Ok(v.to_vec())
+}
+
+fn u8_data(d: DatasetData) -> Option<Vec<u8>> {
+    match d {
+        DatasetData::U8(v) => Some(v),
+        _ => None,
+    }
 }
 
 /// Reassemble a [`Swath`] from the three product containers, validating
@@ -204,9 +212,21 @@ pub fn swath_from_products(
     mod03: &Container,
     mod06: &Container,
 ) -> Result<Swath, ProductFileError> {
-    let (id, dims) = parse_id(mod02)?;
-    let (id3, dims3) = parse_id(mod03)?;
-    let (id6, dims6) = parse_id(mod06)?;
+    swath_from_owned_products(mod02.clone(), mod03.clone(), mod06.clone())
+}
+
+/// [`swath_from_products`] that moves the datasets out of the containers
+/// instead of copying them. Only the radiance planes after the first are
+/// copied, into the band-major buffer the first plane grows into, and each
+/// is freed once copied.
+pub fn swath_from_owned_products(
+    mut mod02: Container,
+    mut mod03: Container,
+    mut mod06: Container,
+) -> Result<Swath, ProductFileError> {
+    let (id, dims) = parse_id(&mod02)?;
+    let (id3, dims3) = parse_id(&mod03)?;
+    let (id6, dims6) = parse_id(&mod06)?;
     if id != id3 || id != id6 || dims != dims3 || dims != dims6 {
         return Err(ProductFileError::GranuleMismatch);
     }
@@ -226,9 +246,15 @@ pub fn swath_from_products(
         .and_then(|s| s.parse().ok())
         .ok_or(ProductFileError::BadAttr("day"))?;
 
-    let mut radiance = Vec::with_capacity(bands.len() * n);
-    for &band in &bands {
-        radiance.extend(f32_dataset(mod02, &format!("radiance_b{band:02}"), n)?);
+    let mut radiance = Vec::new();
+    for (k, &band) in bands.iter().enumerate() {
+        let plane = take_dataset(&mut mod02, &format!("radiance_b{band:02}"), n, f32_data)?;
+        if k == 0 {
+            radiance = plane;
+            radiance.reserve_exact((bands.len() - 1) * n);
+        } else {
+            radiance.extend_from_slice(&plane);
+        }
     }
 
     Ok(Swath {
@@ -236,13 +262,13 @@ pub fn swath_from_products(
         dims,
         bands,
         radiance,
-        lat: f32_dataset(mod03, "latitude", n)?,
-        lon: f32_dataset(mod03, "longitude", n)?,
-        land: u8_dataset(mod03, "land_sea_mask", n)?,
-        cloud: u8_dataset(mod06, "cloud_mask", n)?,
-        cot: f32_dataset(mod06, "cloud_optical_thickness", n)?,
-        ctp: f32_dataset(mod06, "cloud_top_pressure", n)?,
-        cer: f32_dataset(mod06, "cloud_effective_radius", n)?,
+        lat: take_dataset(&mut mod03, "latitude", n, f32_data)?,
+        lon: take_dataset(&mut mod03, "longitude", n, f32_data)?,
+        land: take_dataset(&mut mod03, "land_sea_mask", n, u8_data)?,
+        cloud: take_dataset(&mut mod06, "cloud_mask", n, u8_data)?,
+        cot: take_dataset(&mut mod06, "cloud_optical_thickness", n, f32_data)?,
+        ctp: take_dataset(&mut mod06, "cloud_top_pressure", n, f32_data)?,
+        cer: take_dataset(&mut mod06, "cloud_effective_radius", n, f32_data)?,
         day,
     })
 }

@@ -22,6 +22,7 @@ use eoml_geo::landmask::LandMask;
 use eoml_geo::latlon::LatLon;
 use eoml_geo::orbit::{OrbitParams, SunSyncOrbit, SwathGeometry};
 use eoml_util::noise::Fbm;
+use rayon::prelude::*;
 
 /// Fill value for radiances that are unavailable (reflective bands at
 /// night) — mirrors the `_FillValue` convention of the real product.
@@ -177,105 +178,69 @@ impl SwathSynthesizer {
     }
 
     /// Generate the full co-registered swath for `id`.
+    ///
+    /// Rows are filled in parallel bands of [`BAND_LINES`] scan lines, each
+    /// written straight into its slice of the output buffers. Every pixel
+    /// is a function of `(seed, id, line, pixel)` alone, so the swath is
+    /// bit-identical whatever the thread count.
     pub fn synthesize(&self, id: GranuleId) -> Swath {
         let dims = self.dims;
         let n = dims.len();
-        let geom = self.geometry(&id);
-
-        let (lat, lon) = self.geolocate(id, geom);
-
-        // Land mask from geolocation.
-        let mut land = vec![0u8; n];
-        for i in 0..n {
-            let p = LatLon::new(lat[i] as f64, lon[i] as f64);
-            land[i] = self.landmask.is_land(&p) as u8;
-        }
+        let geo = self.geo_lattice(id);
 
         // Day/night from the solar zenith angle at the swath center (the
         // real product's criterion; reflective bands need sunlight).
-        let center = dims.idx(dims.lines / 2, dims.pixels / 2);
-        let center_pt = LatLon::new(lat[center] as f64, lon[center] as f64);
+        let (clat, clon) = geo.pixel(dims.lines / 2, dims.pixels / 2);
+        let center_pt = LatLon::new(clat as f64, clon as f64);
         let zenith = eoml_geo::solar::solar_zenith_deg(&center_pt, id.start_time());
         let day = zenith < 81.0;
 
-        // Cloud fields in along-track/cross-track coordinates. The
-        // along-track coordinate advances with the granule slot so that
-        // consecutive granules are spatially continuous.
-        let along0 = id.orbit_time_s() * 6.7; // ≈ km along track
-        let scale = 1.0 / 96.0; // structures of ~100 km, like real cloud decks
+        let bands: Vec<u8> = AICCA_BANDS.to_vec();
+        let mut radiance = vec![0.0f32; bands.len() * n];
+        let mut lat = vec![0.0f32; n];
+        let mut lon = vec![0.0f32; n];
+        let mut land = vec![0u8; n];
         let mut cloud = vec![0u8; n];
         let mut cot = vec![0.0f32; n];
         let mut ctp = vec![0.0f32; n];
         let mut cer = vec![0.0f32; n];
-        for line in 0..dims.lines {
-            let y = (along0 + line as f64) * scale;
-            for px in 0..dims.pixels {
-                let i = dims.idx(line, px);
-                let x = px as f64 * scale;
-                let cf = self.cloud_field.sample(x, y);
-                // Latitude climatology: cloudier at the ITCZ (0°) and the
-                // mid-latitude storm tracks (±55°), drier in the subtropics.
-                let latr = (lat[i] as f64).to_radians();
-                let climo = 0.52 + 0.13 * (2.0 * latr).cos().powi(2)
-                    - 0.12 * (latr.abs().to_degrees() / 90.0 - 0.3).powi(2);
-                let threshold = 1.0 - climo.clamp(0.25, 0.75);
-                if cf > threshold {
-                    cloud[i] = 1;
-                    let strength = ((cf - threshold) / (1.0 - threshold)).clamp(0.0, 1.0);
-                    cot[i] = (strength as f32).powi(2) * 60.0
-                        + 3.0 * self.cot_field.sample(x * 2.0, y * 2.0) as f32;
-                    // Thicker clouds reach higher (lower pressure).
-                    ctp[i] = 950.0
-                        - 650.0 * strength as f32
-                        - 100.0 * self.ctp_field.sample(x * 1.5, y * 1.5) as f32;
-                    cer[i] = 6.0 + 28.0 * self.cer_field.sample(x * 3.0, y * 3.0) as f32;
-                }
-            }
+        let mut rest = SwathRows {
+            lat: &mut lat,
+            lon: &mut lon,
+            land: &mut land,
+            cloud: &mut cloud,
+            cot: &mut cot,
+            ctp: &mut ctp,
+            cer: &mut cer,
+            radiance: radiance.chunks_mut(n.max(1)).collect(),
+        };
+        let mut row_bands = Vec::with_capacity(dims.lines.div_ceil(BAND_LINES));
+        for first_line in (0..dims.lines).step_by(BAND_LINES) {
+            let lines = BAND_LINES.min(dims.lines - first_line);
+            let (head, tail) = rest.split_at(lines * dims.pixels);
+            row_bands.push((first_line, head));
+            rest = tail;
         }
-
-        // Radiances for the 6 AICCA bands.
-        let bands: Vec<u8> = AICCA_BANDS.to_vec();
-        let mut radiance = vec![0.0f32; bands.len() * n];
-        for (b, &band) in bands.iter().enumerate() {
-            let plane = &mut radiance[b * n..(b + 1) * n];
-            if is_reflective_band(band) && !day {
-                plane.fill(RADIANCE_FILL);
-                continue;
-            }
-            for i in 0..n {
-                let cloudy = cloud[i] == 1;
-                let tau = cot[i];
-                plane[i] = if is_reflective_band(band) {
-                    // Reflectance-like: surface albedo plus cloud albedo
-                    // 1 − e^(−τ/10), scaled per band.
-                    let surf = if land[i] == 1 { 0.25 } else { 0.05 };
-                    let cloud_albedo = if cloudy {
-                        0.75 * (1.0 - (-tau / 10.0).exp())
-                    } else {
-                        0.0
-                    };
-                    let band_gain = if band == 6 { 1.0 } else { 0.8 };
-                    band_gain * (surf + cloud_albedo * (1.0 - surf))
-                } else {
-                    // Brightness-temperature-like (K): warm surface, cold
-                    // cloud tops; band-dependent small offsets.
-                    let latr = (lat[i] as f64).to_radians();
-                    let tsurf = 300.0 - 45.0 * latr.sin().powi(2) as f32
-                        + if land[i] == 1 { 3.0 } else { 0.0 };
-                    let t = if cloudy {
-                        // Cloud-top temperature from pressure: ~200 K at
-                        // 300 hPa up to ~285 K at 950 hPa.
-                        let tc = 160.0 + 0.13 * ctp[i];
-                        let emis = (1.0 - (-tau / 5.0).exp()).clamp(0.0, 1.0);
-                        tsurf * (1.0 - emis) + tc * emis
-                    } else {
-                        tsurf
-                    };
-                    let band_offset = (band as f32 - 28.0) * 0.4;
-                    t + band_offset
-                };
-            }
-        }
+        let scene = Scene {
+            synth: self,
+            geo: &geo,
+            bands: &bands,
+            day,
+            // The along-track coordinate advances with the granule slot so
+            // that consecutive granules are spatially continuous.
+            along0: id.orbit_time_s() * 6.7, // ≈ km along track
+        };
+        // The pool hands each worker a contiguous run of the list: listing
+        // the even bands before the odd ones gives each of two workers rows
+        // from the whole granule, so cloudy (costlier) stretches share out.
+        let (mut dealt, odd): (Vec<_>, Vec<_>) = row_bands
+            .into_iter()
+            .partition(|(first_line, _)| (first_line / BAND_LINES).is_multiple_of(2));
+        dealt.extend(odd);
+        let _: Vec<()> = dealt
+            .into_par_iter()
+            .map(|(first_line, rows)| scene.fill(first_line, rows))
+            .collect();
 
         Swath {
             id,
@@ -293,17 +258,16 @@ impl SwathSynthesizer {
         }
     }
 
-    /// Geolocation on a coarse lattice + unit-vector bilinear interpolation.
-    fn geolocate(&self, id: GranuleId, geom: &SwathGeometry) -> (Vec<f32>, Vec<f32>) {
+    /// Coarse geolocation lattice of unit vectors for granule `id`.
+    fn geo_lattice(&self, id: GranuleId) -> GeoLattice {
         let dims = self.dims;
-        let n = dims.len();
+        let geom = self.geometry(&id);
         let t0 = id.orbit_time_s();
         let line_dt = geom.line_period_s();
-        const STEP: usize = 16;
 
         // Coarse lattice of unit vectors, inclusive of the far edges.
-        let glines = dims.lines.div_ceil(STEP) + 1;
-        let gpix = dims.pixels.div_ceil(STEP) + 1;
+        let glines = dims.lines.div_ceil(GEO_STEP) + 1;
+        let gpix = dims.pixels.div_ceil(GEO_STEP) + 1;
         let mut gx = vec![0.0f64; glines * gpix];
         let mut gy = vec![0.0f64; glines * gpix];
         let mut gz = vec![0.0f64; glines * gpix];
@@ -311,10 +275,10 @@ impl SwathSynthesizer {
             // Lattice points may extend past the raster edge; the orbit and
             // swath geometry extrapolate smoothly, which keeps the cell
             // spacing uniform (clamping would skew edge interpolation).
-            let line = gl * STEP;
+            let line = gl * GEO_STEP;
             let t = t0 + line as f64 * line_dt;
             for gp in 0..gpix {
-                let px_full = gp * STEP;
+                let px_full = gp * GEO_STEP;
                 // Map full-resolution pixel index into the instrument's
                 // 1354-pixel scan so reduced rasters still span the swath.
                 let k = px_full * geom.pixels_per_line / dims.pixels;
@@ -326,34 +290,206 @@ impl SwathSynthesizer {
                 gz[g] = la.sin();
             }
         }
+        GeoLattice {
+            glines,
+            gpix,
+            gx,
+            gy,
+            gz,
+        }
+    }
+}
 
-        let mut lat = vec![0.0f32; n];
-        let mut lon = vec![0.0f32; n];
-        for line in 0..dims.lines {
-            let gl = line / STEP;
-            let fl = (line % STEP) as f64 / STEP as f64;
-            let gl1 = (gl + 1).min(glines - 1);
-            for px in 0..dims.pixels {
-                let gp = px / STEP;
-                let fp = (px % STEP) as f64 / STEP as f64;
-                let gp1 = (gp + 1).min(gpix - 1);
-                let i00 = gl * gpix + gp;
-                let i01 = gl * gpix + gp1;
-                let i10 = gl1 * gpix + gp;
-                let i11 = gl1 * gpix + gp1;
-                let bilerp = |v: &[f64]| -> f64 {
-                    let a = v[i00] * (1.0 - fp) + v[i01] * fp;
-                    let b = v[i10] * (1.0 - fp) + v[i11] * fp;
-                    a * (1.0 - fl) + b * fl
+/// Scan lines per parallel fill band: small enough that a full granule's
+/// 2030 lines split evenly over the workers, large enough that each band
+/// amortises its cursors' cold start.
+const BAND_LINES: usize = 32;
+
+/// Geolocation lattice spacing in pixels (the real MOD03 uses 5 km).
+const GEO_STEP: usize = 16;
+
+/// Geolocation on a coarse lattice, interpolated per pixel through 3-D
+/// unit vectors.
+struct GeoLattice {
+    glines: usize,
+    gpix: usize,
+    gx: Vec<f64>,
+    gy: Vec<f64>,
+    gz: Vec<f64>,
+}
+
+impl GeoLattice {
+    /// Latitude and longitude (degrees) of `(line, px)`: bilinear
+    /// interpolation of the lattice's unit vectors, renormalised.
+    fn pixel(&self, line: usize, px: usize) -> (f32, f32) {
+        let gpix = self.gpix;
+        let gl = line / GEO_STEP;
+        let fl = (line % GEO_STEP) as f64 / GEO_STEP as f64;
+        let gl1 = (gl + 1).min(self.glines - 1);
+        let gp = px / GEO_STEP;
+        let fp = (px % GEO_STEP) as f64 / GEO_STEP as f64;
+        let gp1 = (gp + 1).min(gpix - 1);
+        let i00 = gl * gpix + gp;
+        let i01 = gl * gpix + gp1;
+        let i10 = gl1 * gpix + gp;
+        let i11 = gl1 * gpix + gp1;
+        let bilerp = |v: &[f64]| -> f64 {
+            let a = v[i00] * (1.0 - fp) + v[i01] * fp;
+            let b = v[i10] * (1.0 - fp) + v[i11] * fp;
+            a * (1.0 - fl) + b * fl
+        };
+        let (x, y, z) = (bilerp(&self.gx), bilerp(&self.gy), bilerp(&self.gz));
+        let norm = (x * x + y * y + z * z).sqrt().max(1e-12);
+        (
+            (z / norm).asin().to_degrees() as f32,
+            y.atan2(x).to_degrees() as f32,
+        )
+    }
+}
+
+/// A run of whole scan lines of every output field, borrowed from the
+/// swath's buffers (`radiance` holds one slice per band plane).
+struct SwathRows<'a> {
+    lat: &'a mut [f32],
+    lon: &'a mut [f32],
+    land: &'a mut [u8],
+    cloud: &'a mut [u8],
+    cot: &'a mut [f32],
+    ctp: &'a mut [f32],
+    cer: &'a mut [f32],
+    radiance: Vec<&'a mut [f32]>,
+}
+
+impl<'a> SwathRows<'a> {
+    /// Split every field at pixel `k`.
+    fn split_at(self, k: usize) -> (Self, Self) {
+        let (lat, lat1) = self.lat.split_at_mut(k);
+        let (lon, lon1) = self.lon.split_at_mut(k);
+        let (land, land1) = self.land.split_at_mut(k);
+        let (cloud, cloud1) = self.cloud.split_at_mut(k);
+        let (cot, cot1) = self.cot.split_at_mut(k);
+        let (ctp, ctp1) = self.ctp.split_at_mut(k);
+        let (cer, cer1) = self.cer.split_at_mut(k);
+        let (radiance, radiance1) = self.radiance.into_iter().map(|p| p.split_at_mut(k)).unzip();
+        (
+            SwathRows {
+                lat,
+                lon,
+                land,
+                cloud,
+                cot,
+                ctp,
+                cer,
+                radiance,
+            },
+            SwathRows {
+                lat: lat1,
+                lon: lon1,
+                land: land1,
+                cloud: cloud1,
+                cot: cot1,
+                ctp: ctp1,
+                cer: cer1,
+                radiance: radiance1,
+            },
+        )
+    }
+}
+
+/// What every row of one granule shares.
+struct Scene<'a> {
+    synth: &'a SwathSynthesizer,
+    geo: &'a GeoLattice,
+    bands: &'a [u8],
+    day: bool,
+    along0: f64,
+}
+
+impl Scene<'_> {
+    /// Fill `rows`, whose first scan line is `first_line`.
+    fn fill(&self, first_line: usize, mut rows: SwathRows<'_>) {
+        let sy = self.synth;
+        let pixels = sy.dims.pixels;
+        let scale = 1.0 / 96.0; // structures of ~100 km, like real cloud decks
+        let mut landmask = sy.landmask.cursor();
+        let mut cloud_field = sy.cloud_field.cursor();
+        let mut cot_field = sy.cot_field.cursor();
+        let mut ctp_field = sy.ctp_field.cursor();
+        let mut cer_field = sy.cer_field.cursor();
+        for i in 0..rows.lat.len() {
+            let (line, px) = (first_line + i / pixels, i % pixels);
+            let (lat, lon) = self.geo.pixel(line, px);
+            rows.lat[i] = lat;
+            rows.lon[i] = lon;
+            let land = landmask.is_land(&LatLon::new(lat as f64, lon as f64));
+            rows.land[i] = land as u8;
+
+            // Cloud fields in along-track/cross-track coordinates.
+            let y = (self.along0 + line as f64) * scale;
+            let x = px as f64 * scale;
+            let cf = cloud_field.sample(x, y);
+            // Latitude climatology: cloudier at the ITCZ (0°) and the
+            // mid-latitude storm tracks (±55°), drier in the subtropics.
+            let latr = (lat as f64).to_radians();
+            let climo = 0.52 + 0.13 * (2.0 * latr).cos().powi(2)
+                - 0.12 * (latr.abs().to_degrees() / 90.0 - 0.3).powi(2);
+            let threshold = 1.0 - climo.clamp(0.25, 0.75);
+            let cloudy = cf > threshold;
+            if cloudy {
+                rows.cloud[i] = 1;
+                let strength = ((cf - threshold) / (1.0 - threshold)).clamp(0.0, 1.0);
+                rows.cot[i] = (strength as f32).powi(2) * 60.0
+                    + 3.0 * cot_field.sample(x * 2.0, y * 2.0) as f32;
+                // Thicker clouds reach higher (lower pressure).
+                rows.ctp[i] = 950.0
+                    - 650.0 * strength as f32
+                    - 100.0 * ctp_field.sample(x * 1.5, y * 1.5) as f32;
+                rows.cer[i] = 6.0 + 28.0 * cer_field.sample(x * 3.0, y * 3.0) as f32;
+            }
+
+            // Radiances for the 6 AICCA bands. Reflective bands need
+            // sunlight and hold the fill value at night.
+            let (tau, ctp) = (rows.cot[i], rows.ctp[i]);
+            let reflectance = self.day.then(|| reflectance(cloudy, land, tau));
+            let temperature = brightness_temperature(cloudy, land, lat, tau, ctp);
+            for (plane, &band) in rows.radiance.iter_mut().zip(self.bands) {
+                plane[i] = if is_reflective_band(band) {
+                    let band_gain = if band == 6 { 1.0 } else { 0.8 };
+                    reflectance.map_or(RADIANCE_FILL, |r| band_gain * r)
+                } else {
+                    let band_offset = (band as f32 - 28.0) * 0.4;
+                    temperature + band_offset
                 };
-                let (x, y, z) = (bilerp(&gx), bilerp(&gy), bilerp(&gz));
-                let norm = (x * x + y * y + z * z).sqrt().max(1e-12);
-                let i = dims.idx(line, px);
-                lat[i] = (z / norm).asin().to_degrees() as f32;
-                lon[i] = y.atan2(x).to_degrees() as f32;
             }
         }
-        (lat, lon)
+    }
+}
+
+/// Reflectance-like signal of a pixel, before the per-band gain: surface
+/// albedo plus cloud albedo 1 − e^(−τ/10).
+fn reflectance(cloudy: bool, land: bool, tau: f32) -> f32 {
+    let surf = if land { 0.25 } else { 0.05 };
+    let cloud_albedo = if cloudy {
+        0.75 * (1.0 - (-tau / 10.0).exp())
+    } else {
+        0.0
+    };
+    surf + cloud_albedo * (1.0 - surf)
+}
+
+/// Brightness-temperature-like signal of a pixel (K), before the per-band
+/// offset: warm surface, cold cloud tops.
+fn brightness_temperature(cloudy: bool, land: bool, lat: f32, tau: f32, ctp: f32) -> f32 {
+    let latr = (lat as f64).to_radians();
+    let tsurf = 300.0 - 45.0 * latr.sin().powi(2) as f32 + if land { 3.0 } else { 0.0 };
+    if cloudy {
+        // Cloud-top temperature from pressure: ~200 K at 300 hPa up to
+        // ~285 K at 950 hPa.
+        let tc = 160.0 + 0.13 * ctp;
+        let emis = (1.0 - (-tau / 5.0).exp()).clamp(0.0, 1.0);
+        tsurf * (1.0 - emis) + tc * emis
+    } else {
+        tsurf
     }
 }
 
@@ -378,6 +514,35 @@ mod tests {
         assert_eq!(a.radiance, b.radiance);
         assert_eq!(a.cloud, b.cloud);
         assert_eq!(a.lat, b.lat);
+    }
+
+    #[test]
+    fn synthesis_is_identical_on_one_and_two_threads() {
+        // Odd dims leave a partial last band and a partial geolocation cell.
+        for dims in [
+            SwathDims::small(),
+            SwathDims {
+                lines: 75,
+                pixels: 33,
+            },
+        ] {
+            let sy = SwathSynthesizer::new(2022, dims);
+            for slot in [0, 3] {
+                let on = |threads: usize| {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .expect("pool");
+                    pool.install(|| sy.synthesize(gid(slot)))
+                };
+                let (one, two) = (on(1), on(2));
+                assert_eq!(one.radiance, two.radiance);
+                assert_eq!((one.lat, one.lon), (two.lat, two.lon));
+                assert_eq!((one.land, one.cloud), (two.land, two.cloud));
+                assert_eq!((one.cot, one.ctp, one.cer), (two.cot, two.ctp, two.cer));
+                assert_eq!(one.day, two.day);
+            }
+        }
     }
 
     #[test]

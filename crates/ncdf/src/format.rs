@@ -394,7 +394,16 @@ struct Reader<'a> {
     pos: usize,
 }
 
+/// Smallest encoded attribute: empty name (4-byte length), type tag and
+/// element count.
+const MIN_ATTR_BYTES: usize = 12;
+
 impl<'a> Reader<'a> {
+    /// Bytes left after the cursor; bounds every reserve a header field
+    /// asks for.
+    fn remaining(&self) -> usize {
+        self.buf.len().saturating_sub(self.pos)
+    }
     fn take(&mut self, n: usize) -> Result<&'a [u8], NcError> {
         if self.pos + n > self.buf.len() {
             return Err(NcError::Truncated);
@@ -472,7 +481,8 @@ impl<'a> Reader<'a> {
         if tag != TAG_ATTRIBUTE {
             return Err(NcError::BadTag(tag));
         }
-        let mut attrs = Vec::with_capacity(count);
+        // Reserve no more entries than the remaining bytes can hold.
+        let mut attrs = Vec::with_capacity(count.min(self.remaining() / MIN_ATTR_BYTES));
         for _ in 0..count {
             let name = self.name()?;
             let t = NcType::from_tag(self.u32()?).ok_or(NcError::BadType(0))?;
@@ -528,7 +538,7 @@ pub fn decode(bytes: &[u8]) -> Result<NcFile, NcError> {
             for _ in 0..count {
                 let name = r.name()?;
                 let rank = r.u32()? as usize;
-                let mut vdims = Vec::with_capacity(rank);
+                let mut vdims = Vec::with_capacity(rank.min(r.remaining() / 4));
                 for _ in 0..rank {
                     let id = r.u32()? as usize;
                     if id >= dims.len() {
@@ -811,5 +821,25 @@ mod tests {
             back.var_by_name("pi").unwrap().data.as_f64().unwrap()[0],
             std::f64::consts::PI
         );
+    }
+
+    #[test]
+    fn header_counts_do_not_drive_reserves() {
+        // Counts near u32::MAX in a few dozen bytes must fail as truncated
+        // input, not reserve gigabytes.
+        let be = |v: u32| v.to_be_bytes();
+        let mut head = b"CDF\x01".to_vec();
+        head.extend(be(0)); // numrecs
+        head.extend(be(0).iter().chain(&be(0))); // no dims
+        let mut gatts = head.clone();
+        gatts.extend(be(TAG_ATTRIBUTE).iter().chain(&be(u32::MAX - 3)));
+        assert_eq!(decode(&gatts).unwrap_err(), NcError::Truncated);
+
+        let mut rank = head;
+        rank.extend(be(0).iter().chain(&be(0))); // no global attrs
+        rank.extend(be(TAG_VARIABLE).iter().chain(&be(1)));
+        rank.extend(be(1).iter().chain(b"v\0\0\0")); // name "v"
+        rank.extend(be(u32::MAX)); // rank
+        assert_eq!(decode(&rank).unwrap_err(), NcError::Truncated);
     }
 }

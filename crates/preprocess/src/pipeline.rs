@@ -11,7 +11,7 @@
 use crate::tiles::{extract_tiles, TileCriteria, TileSet};
 use crate::writer::{write_tiles_nc, TileNcError};
 use eoml_modis::container::{Container, ContainerError};
-use eoml_modis::files::{swath_from_products, ProductFileError};
+use eoml_modis::files::{swath_from_owned_products, ProductFileError};
 use std::path::{Path, PathBuf};
 
 /// Errors from the file-level pipeline.
@@ -79,11 +79,16 @@ pub fn preprocess_granule_files(
     out_dir: &Path,
     criteria: &TileCriteria,
 ) -> Result<PipelineOutcome, PipelineError> {
-    let c02 = Container::decode(&std::fs::read(mod02)?)?;
-    let c03 = Container::decode(&std::fs::read(mod03)?)?;
-    let c06 = Container::decode(&std::fs::read(mod06)?)?;
-    let swath = swath_from_products(&c02, &c03, &c06)?;
+    // Each file's bytes are freed as soon as its container is decoded, and
+    // the swath takes the containers' datasets over instead of copying.
+    let decode = |path: &Path| -> Result<Container, PipelineError> {
+        Ok(Container::decode(&std::fs::read(path)?)?)
+    };
+    let swath = swath_from_owned_products(decode(mod02)?, decode(mod03)?, decode(mod06)?)?;
     let set = extract_tiles(&swath, criteria);
+    let id = swath.id;
+    // The tiles own copies of their pixels: free the swath before encoding.
+    drop(swath);
     if set.is_empty() {
         return Ok(PipelineOutcome {
             output: None,
@@ -92,8 +97,8 @@ pub fn preprocess_granule_files(
     }
     let nc = write_tiles_nc(&set.tiles)?;
     std::fs::create_dir_all(out_dir)?;
-    let final_path = out_dir.join(format!("tiles-{}.nc", swath.id));
-    let part_path = out_dir.join(format!("tiles-{}.nc.part", swath.id));
+    let final_path = out_dir.join(format!("tiles-{id}.nc"));
+    let part_path = out_dir.join(format!("tiles-{id}.nc.part"));
     std::fs::write(&part_path, nc.encode().map_err(TileNcError::Nc)?)?;
     std::fs::rename(&part_path, &final_path)?;
     Ok(PipelineOutcome {

@@ -10,6 +10,7 @@
 //! * [`stats`] — streaming statistics (Welford), summaries with percentiles,
 //!   fixed-width histograms.
 //! * [`units`] — byte sizes and transfer rates with human-readable formatting.
+//! * [`checksum`] — the workspace's one CRC-32 (slice-by-8).
 //! * [`noise`] — lattice value noise and fractional Brownian motion used to
 //!   synthesize cloud and land fields.
 //! * [`timebase`] — civil dates, day-of-year arithmetic and UTC timestamps in
@@ -17,6 +18,7 @@
 //! * [`idgen`] — process-wide monotonic id generation for tasks, transfers
 //!   and flow runs.
 
+pub mod checksum;
 pub mod idgen;
 pub mod noise;
 pub mod rng;

@@ -4,7 +4,8 @@
 //! cloud-optical-thickness fields and a procedural land mask. Everything is
 //! seeded and stateless (lattice values are hashed from integer coordinates),
 //! so a granule's pixel field is reproducible from `(seed, granule index)`
-//! without storing any state.
+//! without storing any state. [`FbmCursor`] only memoises lattice values
+//! for scan-line sweeps; it returns the same bits as [`Fbm::sample`].
 
 use crate::rng::SplitMix64;
 
@@ -36,22 +37,44 @@ impl ValueNoise {
         t * t * (3.0 - 2.0 * t)
     }
 
-    /// Sample the noise at continuous coordinates; output in `[0, 1)`.
-    pub fn sample(&self, x: f64, y: f64) -> f64 {
-        let ix = x.floor() as i64;
-        let iy = y.floor() as i64;
-        let fx = x - ix as f64;
-        let fy = y - iy as f64;
-        let v00 = self.lattice(ix, iy);
-        let v10 = self.lattice(ix + 1, iy);
-        let v01 = self.lattice(ix, iy + 1);
-        let v11 = self.lattice(ix + 1, iy + 1);
+    /// Lattice values at the four corners of cell `(ix, iy)`, in the order
+    /// `[v00, v10, v01, v11]`.
+    fn corners(&self, ix: i64, iy: i64) -> [f64; 4] {
+        [
+            self.lattice(ix, iy),
+            self.lattice(ix + 1, iy),
+            self.lattice(ix, iy + 1),
+            self.lattice(ix + 1, iy + 1),
+        ]
+    }
+
+    /// Interpolate a cell's corner values at offset `(fx, fy)` in the cell.
+    fn blend([v00, v10, v01, v11]: [f64; 4], fx: f64, fy: f64) -> f64 {
         let u = Self::fade(fx);
         let v = Self::fade(fy);
         let a = v00 * (1.0 - u) + v10 * u;
         let b = v01 * (1.0 - u) + v11 * u;
         a * (1.0 - v) + b * v
     }
+
+    /// Sample the noise at continuous coordinates; output in `[0, 1)`.
+    pub fn sample(&self, x: f64, y: f64) -> f64 {
+        let ix = floor_i64(x);
+        let iy = floor_i64(y);
+        Self::blend(self.corners(ix, iy), x - ix as f64, y - iy as f64)
+    }
+}
+
+/// `x.floor() as i64` without calling `f64::floor`, which is a libm call
+/// on x86-64 targets without SSE4.1: truncate, then step down where
+/// truncation rounded a negative non-integer up. Equal to
+/// `x.floor() as i64` for every `f64`, saturation and NaN → 0 included.
+#[inline]
+pub fn floor_i64(x: f64) -> i64 {
+    let t = x as i64;
+    // Only `t == i64::MIN` with `x < -2⁶³` can step past the range; the
+    // saturating step keeps the saturated cast's answer there.
+    t.saturating_sub((x < t as f64) as i64)
 }
 
 /// Fractional Brownian motion: a sum of `octaves` value-noise fields with
@@ -91,6 +114,21 @@ impl Fbm {
 
     /// Sample; output normalized to `[0, 1)` regardless of octave count.
     pub fn sample(&self, x: f64, y: f64) -> f64 {
+        self.octave_sum(x, y, |_, u, v| self.base.sample(u, v))
+    }
+
+    /// A memoising sampler over this field for sweeps of nearby points
+    /// (scan lines); see [`FbmCursor`].
+    pub fn cursor(&self) -> FbmCursor<'_> {
+        FbmCursor {
+            fbm: self,
+            cells: vec![CellCache::default(); self.octaves as usize],
+        }
+    }
+
+    /// The octave sum, with octave `oct`'s noise at `(u, v)` supplied by
+    /// `noise(oct, u, v)`.
+    fn octave_sum(&self, x: f64, y: f64, mut noise: impl FnMut(usize, f64, f64) -> f64) -> f64 {
         let mut sum = 0.0;
         let mut amp = 1.0;
         let mut freq = 1.0;
@@ -98,7 +136,7 @@ impl Fbm {
         for oct in 0..self.octaves {
             // Offset each octave so lattice artifacts don't align.
             let off = oct as f64 * 137.31;
-            sum += amp * self.base.sample(x * freq + off, y * freq - off);
+            sum += amp * noise(oct as usize, x * freq + off, y * freq - off);
             norm += amp;
             amp *= self.gain;
             freq *= self.lacunarity;
@@ -114,9 +152,47 @@ impl Fbm {
     }
 }
 
+/// Memoising [`Fbm`] sampler: keeps the last lattice cell's four corner
+/// values per octave and reuses them while successive samples stay in that
+/// cell, which along a scan line they mostly do. Returns exactly what
+/// [`Fbm::sample`] returns for every point, in any order.
+#[derive(Debug, Clone)]
+pub struct FbmCursor<'a> {
+    fbm: &'a Fbm,
+    cells: Vec<CellCache>,
+}
+
+impl FbmCursor<'_> {
+    /// Sample the field at `(x, y)`; bit-identical to [`Fbm::sample`].
+    pub fn sample(&mut self, x: f64, y: f64) -> f64 {
+        let (fbm, cells) = (self.fbm, &mut self.cells);
+        fbm.octave_sum(x, y, |oct, u, v| cells[oct].sample(&fbm.base, u, v))
+    }
+}
+
+/// One octave's most recent lattice cell and its corner values.
+#[derive(Debug, Clone, Copy, Default)]
+struct CellCache {
+    cell: Option<(i64, i64)>,
+    corners: [f64; 4],
+}
+
+impl CellCache {
+    fn sample(&mut self, noise: &ValueNoise, x: f64, y: f64) -> f64 {
+        let ix = floor_i64(x);
+        let iy = floor_i64(y);
+        if self.cell != Some((ix, iy)) {
+            self.cell = Some((ix, iy));
+            self.corners = noise.corners(ix, iy);
+        }
+        ValueNoise::blend(self.corners, x - ix as f64, y - iy as f64)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn noise_is_deterministic() {
@@ -212,6 +288,75 @@ mod tests {
         for i in 0..100 {
             let v = f.ridged(i as f64 * 0.13, i as f64 * 0.07);
             assert!((0.0..=1.0).contains(&v));
+        }
+    }
+
+    #[test]
+    fn floor_i64_matches_std_floor_at_the_edges() {
+        let edges = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            -1.0 - f64::EPSILON,
+            2.0f64.powi(52) + 0.5,
+            -(2.0f64.powi(52)) - 0.5,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            // Neighbours of ±2⁶³ in both directions.
+            f64::from_bits((i64::MAX as f64).to_bits() - 1),
+            f64::from_bits((i64::MAX as f64).to_bits() + 1),
+            f64::from_bits((i64::MIN as f64).to_bits() - 1),
+            f64::from_bits((i64::MIN as f64).to_bits() + 1),
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+        ];
+        for x in edges {
+            assert_eq!(floor_i64(x), x.floor() as i64, "x = {x:e}");
+        }
+        for k in -1000..1000 {
+            let x = k as f64 * 0.25;
+            assert_eq!(floor_i64(x), x.floor() as i64, "x = {x}");
+        }
+    }
+
+    /// A sweep of `n` points from `(x0, y0)` with steps `(dx, dy)`.
+    fn sweep(x0: f64, y0: f64, dx: f64, dy: f64, n: usize) -> impl Iterator<Item = (f64, f64)> {
+        (0..n).map(move |i| (x0 + i as f64 * dx, y0 + i as f64 * dy))
+    }
+
+    proptest! {
+        #[test]
+        fn floor_i64_matches_std_floor_for_any_bits(bits in any::<u64>()) {
+            let x = f64::from_bits(bits);
+            prop_assert_eq!(floor_i64(x), x.floor() as i64);
+        }
+
+        #[test]
+        fn cursor_is_bit_identical_to_sample(
+            seed in any::<u64>(),
+            octaves in 1u32..7,
+            x0 in -300.0f64..300.0,
+            y0 in -300.0f64..300.0,
+            dx in -0.3f64..0.3,
+            dy in -0.05f64..0.05,
+        ) {
+            // Sweeps cross many cell edges at every octave, on both sides
+            // of zero; a second sweep reuses the warm cursor.
+            let f = Fbm::new(seed, octaves);
+            let mut c = f.cursor();
+            for (x, y) in sweep(x0, y0, dx, dy, 400).chain(sweep(-x0, y0, -dx, dy, 50)) {
+                prop_assert_eq!(c.sample(x, y).to_bits(), f.sample(x, y).to_bits());
+            }
         }
     }
 }
