@@ -7,21 +7,21 @@
 //! is still running* (the crawler triggers per finished file), and shipment
 //! closes the campaign.
 
+use crate::chaos::{DEST_FACILITY, SOURCE_FACILITY};
+use crate::run::{shipment_manifest, JournalGate, Workers};
 use crate::telemetry::Telemetry;
 use crate::world::World;
 use eoml_cluster::exec::submit_task;
 use eoml_cluster::slurm::request_block;
 use eoml_config::WorkflowConfig;
-use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
+use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::{Platform, ProductKind};
 use eoml_obs::{GranuleTrace, Obs, TraceAnalysis, TraceContext};
 use eoml_simtime::{SimTime, Simulation};
 use eoml_transfer::faults::FaultPlan;
-use eoml_transfer::manifest::{
-    synthetic_digest, ArtifactEntry, JournalDigest, LineageRecord, ShipmentManifest,
-};
+use eoml_transfer::manifest::{synthetic_digest, ShipmentManifest};
 use eoml_transfer::pool::{DownloadPool, DownloadReport, FileTiming};
 use eoml_transfer::service::{submit_transfer, TransferOptions, TransferReport, TransferTaskId};
 use eoml_transfer::sync::JournalSync;
@@ -34,39 +34,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Object-safe journal handle the campaign driver appends through; lets the
-/// driver stay non-generic over the journal's [`Storage`] backend.
-pub trait JournalSink {
-    /// Append one event durably.
-    fn append(&mut self, event: JournalEvent) -> Result<(), JournalError>;
-
-    /// The journal's `(events, checksum)` state digest for shipment
-    /// manifests; `None` for sinks that cannot summarise their state.
-    fn state_digest(&self) -> Option<(u64, u64)> {
-        None
-    }
-
-    /// Canonical JSON of the journal's materialised state, shipped to the
-    /// destination as the journal-sync payload; `None` for sinks that
-    /// cannot export one.
-    fn export_state(&self) -> Option<serde_json::Value> {
-        None
-    }
-}
-
-impl<S: Storage> JournalSink for Journal<S> {
-    fn append(&mut self, event: JournalEvent) -> Result<(), JournalError> {
-        Journal::append(self, event)
-    }
-
-    fn state_digest(&self) -> Option<(u64, u64)> {
-        Some(Journal::state_digest(self))
-    }
-
-    fn export_state(&self) -> Option<serde_json::Value> {
-        Some(self.state().to_json())
-    }
-}
+/// Journal label of batch campaigns.
+const BATCH_LABEL: &str = "batch-campaign";
 
 /// Everything a campaign needs to run (derived from the user's YAML
 /// [`WorkflowConfig`] or built directly for experiments).
@@ -324,10 +293,9 @@ struct Progress {
     shipment: Option<TransferReport>,
     // preprocess
     work_queue: VecDeque<(GranuleId, f64)>,
-    preprocess_active: usize,
+    preprocess: Workers,
     preprocess_started: SimTime,
     granules_done: usize,
-    granules_total: usize,
     /// Selected tiles per completed day granule. Totals are summed in key
     /// order, so an interrupted-and-resumed campaign reproduces the exact
     /// f64 totals of an uninterrupted one regardless of completion order.
@@ -336,17 +304,13 @@ struct Progress {
     block_nodes: Vec<usize>,
     // inference
     inference_queue: VecDeque<(String, f64)>,
-    inference_active: usize,
+    inference: Workers,
     labeled: Vec<(String, ByteSize)>,
     manifest: Option<ShipmentManifest>,
     journal_sync: Option<JournalSync>,
     // control
     shipped: bool,
-    // journaling (None → plain in-memory campaign, identical to the
-    // original behaviour)
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
-    halted: bool,
+    journal: JournalGate<'static>,
 }
 
 impl Progress {
@@ -357,44 +321,31 @@ impl Progress {
     fn total_tiles(&self) -> f64 {
         self.day_tiles.values().sum()
     }
+
+    /// Whether inference has drained every tile file: the shipment gate.
+    fn all_labeled(&self) -> bool {
+        self.preprocess_done
+            && self.inference_queue.is_empty()
+            && self.inference.active() == 0
+            && self.labeled.len() == self.tile_files()
+    }
 }
 
 type P = Rc<RefCell<Progress>>;
 
-/// Append `event` to the campaign's journal, if any. Returns `false` when
-/// the journal refused the append (crash point reached): the campaign must
-/// stop scheduling work — the event, and everything after it, is not durable.
-fn journal_record(progress: &P, event: JournalEvent) -> bool {
-    let sink = progress.borrow().journal.clone();
-    match sink {
-        None => true,
-        Some(journal) => {
-            if journal.borrow_mut().append(event).is_ok() {
-                true
-            } else {
-                progress.borrow_mut().halted = true;
-                false
-            }
-        }
-    }
+/// Whether a journal append has failed: the campaign stops scheduling work.
+fn halted(progress: &P) -> bool {
+    progress.borrow().journal.is_halted()
 }
 
-fn is_halted(progress: &P) -> bool {
-    progress.borrow().halted
-}
-
-/// Journal a `StageStarted` event unless the resume state already has it.
-/// Returns `false` when the append hit the crash point.
-fn journal_started(progress: &P, stage: &str) -> bool {
-    if progress.borrow().resume.stages_started.contains(stage) {
-        return true;
-    }
-    journal_record(
-        progress,
-        JournalEvent::StageStarted {
-            stage: stage.into(),
-        },
-    )
+/// Run one journal-gate call (an append, or a stage start/finish);
+/// `false` once the journal refused an append (crash point reached) — that
+/// event, and everything after it, is not durable.
+fn journal_ok(
+    progress: &P,
+    op: impl FnOnce(&mut JournalGate<'static>) -> Result<(), JournalError>,
+) -> bool {
+    op(&mut progress.borrow_mut().journal).is_ok()
 }
 
 /// The durable completion key for a granule's preprocessing: day granules
@@ -409,7 +360,7 @@ pub(crate) fn preprocess_key(granule: GranuleId, tiles: f64) -> String {
 
 /// Run a full five-stage campaign in virtual time.
 pub fn run_campaign(params: CampaignParams) -> CampaignReport {
-    run_inner(params, None, CampaignState::default()).expect("journal-free campaign cannot crash")
+    run_inner(params, JournalGate::default()).expect("journal-free campaign cannot crash")
 }
 
 /// Run a campaign against a write-ahead `journal`, resuming any work the
@@ -421,34 +372,19 @@ pub fn run_campaign(params: CampaignParams) -> CampaignReport {
 /// Returns [`JournalError::Crashed`] when the journal's injected kill point
 /// fires mid-campaign (see [`Journal::crash_after`]); reopening the journal
 /// over the same storage and calling this again resumes from the durable
-/// prefix.
+/// prefix. A journal another seed or driver wrote is refused with
+/// [`JournalError::Foreign`].
 pub fn run_campaign_resumable<S: Storage + 'static>(
     params: CampaignParams,
     journal: Journal<S>,
 ) -> Result<CampaignReport, JournalError> {
-    let resume = journal.state().clone();
-    if let Some(seed) = resume.seed {
-        if seed != params.seed {
-            return Err(JournalError::Io(format!(
-                "journal belongs to seed {seed}, campaign params use seed {}",
-                params.seed
-            )));
-        }
-    }
-    let sink: Rc<RefCell<dyn JournalSink>> = Rc::new(RefCell::new(journal));
-    if resume.seed.is_none() {
-        sink.borrow_mut().append(JournalEvent::CampaignStarted {
-            seed: params.seed,
-            label: "batch-campaign".into(),
-        })?;
-    }
-    run_inner(params, Some(sink), resume)
+    let gate = JournalGate::open(journal, params.seed, BATCH_LABEL)?;
+    run_inner(params, gate)
 }
 
 fn run_inner(
     params: CampaignParams,
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
+    journal: JournalGate<'static>,
 ) -> Result<CampaignReport, JournalError> {
     assert!(params.files_per_day >= 1 && params.files_per_day <= 288);
     assert!(params.nodes >= 1 && params.workers_per_node >= 1);
@@ -465,22 +401,19 @@ fn run_inner(
         download: None,
         shipment: None,
         work_queue: VecDeque::new(),
-        preprocess_active: 0,
+        preprocess: Workers::new("preprocess"),
         preprocess_started: SimTime::ZERO,
         granules_done: 0,
-        granules_total: 0,
         day_tiles: BTreeMap::new(),
         preprocess_done: false,
         block_nodes: Vec::new(),
         inference_queue: VecDeque::new(),
-        inference_active: 0,
+        inference: Workers::new("inference"),
         labeled: Vec::new(),
         manifest: None,
         journal_sync: None,
         shipped: false,
         journal,
-        resume,
-        halted: false,
     }));
 
     stage_download(&mut sim, &progress);
@@ -490,7 +423,7 @@ fn run_inner(
     let p = Rc::try_unwrap(progress)
         .unwrap_or_else(|_| panic!("campaign closures leaked"))
         .into_inner();
-    if p.halted {
+    if p.journal.is_halted() {
         return Err(JournalError::Crashed);
     }
     let makespan_s = p
@@ -526,7 +459,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
         .span("download", "launch", t0, t0 + launch);
     let progress = Rc::clone(progress);
     sim.schedule_in(launch, move |sim| {
-        if is_halted(&progress) {
+        if halted(&progress) {
             return;
         }
         let (files, workers) = {
@@ -545,15 +478,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             }
             (files, p.params.download_workers)
         };
-        let stage_was_started = progress.borrow().resume.stages_started.contains("download");
-        if !stage_was_started
-            && !journal_record(
-                &progress,
-                JournalEvent::StageStarted {
-                    stage: "download".into(),
-                },
-            )
-        {
+        if !journal_ok(&progress, |j| j.stage_started("download")) {
             return;
         }
         let started = sim.now();
@@ -564,17 +489,21 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             files
                 .iter()
                 .filter_map(|(name, _)| {
-                    p.resume.downloaded.get(name).map(|&bytes| FileTiming {
-                        name: name.clone(),
-                        size: ByteSize::bytes(bytes),
-                        started,
-                        finished: started,
-                        attempts: 1,
-                    })
+                    p.journal
+                        .resume()
+                        .downloaded
+                        .get(name)
+                        .map(|&bytes| FileTiming {
+                            name: name.clone(),
+                            size: ByteSize::bytes(bytes),
+                            started,
+                            finished: started,
+                            attempts: 1,
+                        })
                 })
                 .collect()
         };
-        if progress.borrow().resume.stage_done("download") {
+        if progress.borrow().journal.resume().stage_done("download") {
             let bytes = replayed.iter().map(|f| f.size).sum();
             let report = DownloadReport {
                 files: replayed,
@@ -592,7 +521,7 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             let p = progress.borrow();
             files
                 .into_iter()
-                .filter(|(name, _)| !p.resume.is_downloaded(name))
+                .filter(|(name, _)| !p.journal.resume().is_downloaded(name))
                 .collect()
         };
         let hook_progress = Rc::clone(&progress);
@@ -608,27 +537,18 @@ fn stage_download(sim: &mut Simulation<World>, progress: &P) {
             obs,
             |file| granule_trace_id(file).map(TraceContext::new),
             move |_sim, timing: &FileTiming| {
-                if is_halted(&hook_progress) {
+                if halted(&hook_progress) {
                     return;
                 }
-                journal_record(
-                    &hook_progress,
-                    JournalEvent::FileDownloaded {
+                journal_ok(&hook_progress, |j| {
+                    j.record(JournalEvent::FileDownloaded {
                         file: timing.name.clone(),
                         bytes: timing.size.as_u64(),
-                    },
-                );
+                    })
+                });
             },
             move |sim, mut report| {
-                if is_halted(&progress2) {
-                    return;
-                }
-                if !journal_record(
-                    &progress2,
-                    JournalEvent::StageFinished {
-                        stage: "download".into(),
-                    },
-                ) {
+                if halted(&progress2) || !journal_ok(&progress2, |j| j.stage_finished("download")) {
                     return;
                 }
                 // Stage totals cover journal-replayed and fresh files alike.
@@ -649,66 +569,41 @@ fn finish_download(
     report: DownloadReport,
 ) {
     let now = sim.now();
+    let world = sim.state_mut();
     // Scope the download wrap-up (telemetry merge + provenance records)
     // so its allocations attribute to the download stage.
-    let _mem = sim
-        .state_mut()
-        .telemetry
-        .resource_scope("download", "finish");
-    {
-        let tel = &mut sim.state_mut().telemetry;
-        tel.span("download", "transfer", started, now);
-        tel.merge_activity("download", &report.activity);
+    let _mem = world.telemetry.resource_scope("download", "finish");
+    world.telemetry.span("download", "transfer", started, now);
+    world.telemetry.merge_activity("download", &report.activity);
+    for f in &report.files {
+        let rec = world.provenance.record(
+            format!("defiant:{}", f.name),
+            "download",
+            vec![format!("laads:{}", f.name)],
+            "download-pool",
+            now.as_secs_f64(),
+        );
+        rec.attrs
+            .insert("bytes".into(), f.size.as_u64().to_string());
+        rec.attrs.insert("attempts".into(), f.attempts.to_string());
     }
-    {
-        let now_s = now.as_secs_f64();
-        let prov = &mut sim.state_mut().provenance;
-        for f in &report.files {
-            let rec = prov.record(
-                format!("defiant:{}", f.name),
-                "download",
-                vec![format!("laads:{}", f.name)],
-                "download-pool",
-                now_s,
-            );
-            rec.attrs
-                .insert("bytes".into(), f.size.as_u64().to_string());
-            rec.attrs.insert("attempts".into(), f.attempts.to_string());
-        }
-    }
-    {
-        let mut p = progress.borrow_mut();
-        p.stages.push(StageReport {
-            name: "download".into(),
-            started: SimTime::ZERO,
-            finished: now,
-            items: report.files.len(),
-            bytes: report.bytes,
-        });
-        p.download = Some(report);
-    }
+    let mut p = progress.borrow_mut();
+    p.stages.push(StageReport {
+        name: "download".into(),
+        started: SimTime::ZERO,
+        finished: now,
+        items: report.files.len(),
+        bytes: report.bytes,
+    });
+    p.download = Some(report);
+    drop(p);
     stage_preprocess(sim, progress);
 }
 
 // ------------------------------------------------------- stage 2: preprocess
 
 fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
-    if is_halted(progress) {
-        return;
-    }
-    let stage_was_started = progress
-        .borrow()
-        .resume
-        .stages_started
-        .contains("preprocess");
-    if !stage_was_started
-        && !journal_record(
-            progress,
-            JournalEvent::StageStarted {
-                stage: "preprocess".into(),
-            },
-        )
-    {
+    if halted(progress) || !journal_ok(progress, |j| j.stage_started("preprocess")) {
         return;
     }
     // Build the granule work list from the downloaded MOD02 files, skipping
@@ -729,19 +624,18 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
             }
         }
         work.sort_by_key(|&(g, _)| g);
-        p.granules_total = work.len();
         let mut pending = Vec::new();
         let mut announce = Vec::new();
         for (granule, tiles) in work {
             let key = preprocess_key(granule, tiles);
-            if !p.resume.has_tile_file(&key) {
+            if !p.journal.resume().has_tile_file(&key) {
                 pending.push((granule, tiles));
                 continue;
             }
             p.granules_done += 1;
             if tiles > 0.0 {
                 p.day_tiles.insert(granule, tiles);
-                if let Some(&(_, bytes)) = p.resume.labeled.get(&key) {
+                if let Some(&(_, bytes)) = p.journal.resume().labeled.get(&key) {
                     p.labeled.push((key, ByteSize::bytes(bytes)));
                 } else {
                     // Tile file durable but labels are not: hand the file
@@ -794,7 +688,7 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
                     }
                 }
                 monitor_poll(sim, &progress3);
-                maybe_finish_preprocess(sim, &progress3, tile_start);
+                maybe_finish_preprocess(sim, &progress3);
             });
         },
     )
@@ -802,35 +696,24 @@ fn stage_preprocess(sim: &mut Simulation<World>, progress: &P) {
 }
 
 fn preprocess_pull(sim: &mut Simulation<World>, progress: &P, node_idx: usize) {
-    if is_halted(progress) {
+    if halted(progress) {
         return;
     }
-    let job = {
-        let mut p = progress.borrow_mut();
-        match p.work_queue.pop_front() {
-            Some(job) => {
-                p.preprocess_active += 1;
-                let active = p.preprocess_active;
-                let node = p.block_nodes[node_idx];
-                let now = sim.now();
-                drop(p);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("preprocess", now, active);
-                Some((node, job))
-            }
-            None => None,
-        }
-    };
-    let Some((node, (granule, tiles))) = job else {
-        return;
+    let now = sim.now();
+    let (node, (granule, tiles)) = {
+        let p = &mut *progress.borrow_mut();
+        // One pull per free worker slot: the node block bounds concurrency.
+        let tel = &mut sim.state_mut().telemetry;
+        let Some(job) = p.preprocess.take(&mut p.work_queue, usize::MAX, tel, now) else {
+            return;
+        };
+        (p.block_nodes[node_idx], job)
     };
     let work = tiles.max(12.0); // night-granule scan floor
     let progress2 = Rc::clone(progress);
-    let tile_start = progress.borrow().preprocess_started;
     let submitted = sim.now();
     submit_task(sim, node, work, move |sim| {
-        if is_halted(&progress2) {
+        if halted(&progress2) {
             return;
         }
         // Attribute the completion path's allocations (journal append,
@@ -841,68 +724,61 @@ fn preprocess_pull(sim: &mut Simulation<World>, progress: &P, node_idx: usize) {
             .resource_scope("preprocess", "granule");
         // The completion record must be durable before the counters move:
         // a crash between the two re-runs this granule, never loses it.
-        if !journal_record(
-            &progress2,
-            JournalEvent::TileFileWritten {
+        if !journal_ok(&progress2, |j| {
+            j.record(JournalEvent::TileFileWritten {
                 file: preprocess_key(granule, tiles),
                 tiles: tiles.round() as u64,
-            },
-        ) {
+            })
+        }) {
             return;
         }
         let now = sim.now();
-        {
-            // The granule's own trace interval: submission → completion,
-            // so queueing on the node block is visible to trace analysis.
-            let trace = TraceContext::new(granule.to_string());
-            let tel = &mut sim.state_mut().telemetry;
-            tel.span_traced("preprocess", "granule", submitted, now, Some(&trace));
-            tel.count("granules", "preprocess", 1);
-        }
-        let produced = {
-            let mut p = progress2.borrow_mut();
-            p.preprocess_active -= 1;
-            p.granules_done += 1;
-            let active = p.preprocess_active;
-            drop(p);
-            sim.state_mut()
-                .telemetry
-                .activity_change("preprocess", now, active);
-            let mut p = progress2.borrow_mut();
-            if tiles > 0.0 {
-                p.day_tiles.insert(granule, tiles);
-                Some(format!("tiles-{granule}.nc"))
-            } else {
-                None
-            }
-        };
-        if let Some(file) = produced {
-            sim.state_mut().cluster.note_tiles(tiles);
-            let now_s = sim.now().as_secs_f64();
+        let world = sim.state_mut();
+        // The granule's own trace interval: submission → completion, so
+        // queueing on the node block is visible to trace analysis.
+        let trace = TraceContext::new(granule.to_string());
+        world
+            .telemetry
+            .span_traced("preprocess", "granule", submitted, now, Some(&trace));
+        world.telemetry.count("granules", "preprocess", 1);
+        let mut p = progress2.borrow_mut();
+        p.preprocess.finish(&mut world.telemetry, now);
+        p.granules_done += 1;
+        if tiles > 0.0 {
+            p.day_tiles.insert(granule, tiles);
+            let file = preprocess_key(granule, tiles);
+            world.cluster.note_tiles(tiles);
             let inputs = ProductKind::all()
                 .into_iter()
                 .map(|p| format!("defiant:{}", granule.file_name(p)))
                 .collect();
-            sim.state_mut()
+            world
                 .provenance
-                .record(file.clone(), "preprocess", inputs, "parsl-worker", now_s)
+                .record(
+                    file.clone(),
+                    "preprocess",
+                    inputs,
+                    "parsl-worker",
+                    now.as_secs_f64(),
+                )
                 .attrs
                 .insert("tiles".into(), format!("{tiles:.0}"));
-            sim.state_mut().crawler.announce(file);
+            world.crawler.announce(file);
         }
+        drop(p);
         preprocess_pull(sim, &progress2, node_idx);
-        maybe_finish_preprocess(sim, &progress2, tile_start);
+        maybe_finish_preprocess(sim, &progress2);
     });
 }
 
-fn maybe_finish_preprocess(sim: &mut Simulation<World>, progress: &P, _tile_start: SimTime) {
-    if is_halted(progress) {
+fn maybe_finish_preprocess(sim: &mut Simulation<World>, progress: &P) {
+    if halted(progress) {
         return;
     }
     let finished = {
         let mut p = progress.borrow_mut();
         if p.preprocess_done
-            || p.preprocess_active > 0
+            || p.preprocess.active() > 0
             || !p.work_queue.is_empty()
             || p.block_nodes.is_empty()
         {
@@ -913,15 +789,7 @@ fn maybe_finish_preprocess(sim: &mut Simulation<World>, progress: &P, _tile_star
         }
     };
     if finished {
-        let stage_was_done = progress.borrow().resume.stage_done("preprocess");
-        if !stage_was_done
-            && !journal_record(
-                progress,
-                JournalEvent::StageFinished {
-                    stage: "preprocess".into(),
-                },
-            )
-        {
+        if !journal_ok(progress, |j| j.stage_finished("preprocess")) {
             return;
         }
         let now = sim.now();
@@ -949,7 +817,7 @@ fn maybe_finish_preprocess(sim: &mut Simulation<World>, progress: &P, _tile_star
 // ------------------------------------------------ stage 3+4: monitor & infer
 
 fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
-    if is_halted(progress) {
+    if halted(progress) {
         return;
     }
     // Crawl for new tile files and enqueue inference jobs.
@@ -959,8 +827,8 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
             let p = progress.borrow();
             (
                 p.params.seed,
-                p.resume.is_labeled(&file),
-                p.resume.monitor_saw(&file),
+                p.journal.resume().is_labeled(&file),
+                p.journal.resume().monitor_saw(&file),
             )
         };
         if labeled_already {
@@ -969,10 +837,9 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
             continue;
         }
         if !seen_before
-            && !journal_record(
-                progress,
-                JournalEvent::MonitorTriggered { file: file.clone() },
-            )
+            && !journal_ok(progress, |j| {
+                j.record(JournalEvent::MonitorTriggered { file: file.clone() })
+            })
         {
             return;
         }
@@ -985,10 +852,7 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
         tel.mark_traced("monitor", "trigger", now, trace.as_ref());
         tel.count("triggers", "monitor", 1);
         // Recover the tile count from the file name's granule.
-        let tiles = file
-            .strip_prefix("tiles-")
-            .and_then(|rest| rest.strip_suffix(".nc"))
-            .and_then(parse_granule_display)
+        let tiles = tile_file_granule(&file)
             .map(|g| granule_tiles(seed, g))
             .unwrap_or(100.0);
         progress
@@ -998,14 +862,7 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
     }
     pump_inference(sim, progress);
 
-    let stop = {
-        let p = progress.borrow();
-        p.preprocess_done
-            && p.inference_queue.is_empty()
-            && p.inference_active == 0
-            && p.labeled.len() == p.tile_files()
-    };
-    if !stop {
+    if !progress.borrow().all_labeled() {
         let period = Duration::from_secs_f64(progress.borrow().params.monitor_period_s);
         let progress2 = Rc::clone(progress);
         sim.schedule_in(period, move |sim| monitor_poll(sim, &progress2));
@@ -1021,17 +878,18 @@ fn monitor_poll(sim: &mut Simulation<World>, progress: &P) {
 /// `MOD.A2022001.0610`) — the id every traced span of that granule is
 /// stamped with. Returns `None` for artifacts with no granule identity.
 pub fn granule_trace_id(artifact: &str) -> Option<String> {
-    let name = artifact
-        .split_once(':')
-        .map(|(_, rest)| rest)
-        .unwrap_or(artifact);
-    if let Some(inner) = name
-        .strip_prefix("tiles-")
-        .and_then(|rest| rest.strip_suffix(".nc"))
-    {
-        return parse_granule_display(inner).map(|g| g.to_string());
-    }
-    GranuleId::parse_file_name(name).map(|(g, _)| g.to_string())
+    let name = artifact.split_once(':').map_or(artifact, |(_, rest)| rest);
+    let granule =
+        tile_file_granule(name).or_else(|| GranuleId::parse_file_name(name).map(|(g, _)| g))?;
+    Some(granule.to_string())
+}
+
+/// The granule behind a `tiles-<granule>.nc` file name.
+fn tile_file_granule(name: &str) -> Option<GranuleId> {
+    name.strip_prefix("tiles-")?
+        .strip_suffix(".nc")?
+        .parse()
+        .ok()
 }
 
 /// Join provenance lineage with trace analysis: the end-to-end granule
@@ -1046,45 +904,17 @@ pub fn trace_for_artifact<'a>(
     analysis.trace(&granule_trace_id(artifact)?)
 }
 
-fn parse_granule_display(s: &str) -> Option<GranuleId> {
-    // "{MOD|MYD}.A{yyyy}{ddd}.{hhmm}"
-    let mut parts = s.split('.');
-    let platform = match parts.next()? {
-        "MOD" => Platform::Terra,
-        "MYD" => Platform::Aqua,
-        _ => return None,
-    };
-    let adate = parts.next()?;
-    let year: i32 = adate.get(1..5)?.parse().ok()?;
-    let doy: u16 = adate.get(5..8)?.parse().ok()?;
-    let date = CivilDate::from_ordinal(year, doy)?;
-    let hhmm = parts.next()?;
-    let hh: u16 = hhmm.get(..2)?.parse().ok()?;
-    let mm: u16 = hhmm.get(2..4)?.parse().ok()?;
-    Some(GranuleId::new(platform, date, hh * 12 + mm / 5))
-}
-
 fn pump_inference(sim: &mut Simulation<World>, progress: &P) {
     loop {
-        let job = {
-            let mut p = progress.borrow_mut();
-            if p.inference_active >= p.params.inference_workers {
-                None
-            } else if let Some(job) = p.inference_queue.pop_front() {
-                p.inference_active += 1;
-                let active = p.inference_active;
-                drop(p);
-                let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("inference", now, active);
-                Some(job)
-            } else {
-                None
-            }
-        };
-        let Some((file, tiles)) = job else {
-            break;
+        let now = sim.now();
+        let (file, tiles) = {
+            let p = &mut *progress.borrow_mut();
+            let limit = p.params.inference_workers;
+            let tel = &mut sim.state_mut().telemetry;
+            let Some(job) = p.inference.take(&mut p.inference_queue, limit, tel, now) else {
+                break;
+            };
+            job
         };
         // The flow: crawl-handoff → infer → append → move, each hop paying
         // the Globus-Flows action overhead (~50 ms). Every hop carries the
@@ -1116,21 +946,20 @@ fn pump_inference(sim: &mut Simulation<World>, progress: &P) {
         let total = overhead + compute;
         let progress2 = Rc::clone(progress);
         sim.schedule_in(total, move |sim| {
-            if is_halted(&progress2) {
+            if halted(&progress2) {
                 return;
             }
             let bytes_u64 = {
                 let p = progress2.borrow();
                 (tiles * p.params.tile_nc_bytes as f64) as u64
             };
-            if !journal_record(
-                &progress2,
-                JournalEvent::LabelsAppended {
+            if !journal_ok(&progress2, |j| {
+                j.record(JournalEvent::LabelsAppended {
                     file: file.clone(),
                     labels: tiles.round() as u64,
                     bytes: bytes_u64,
-                },
-            ) {
+                })
+            }) {
                 return;
             }
             let now = sim.now();
@@ -1139,13 +968,9 @@ fn pump_inference(sim: &mut Simulation<World>, progress: &P) {
                 .count("files_labeled", "inference", 1);
             {
                 let mut p = progress2.borrow_mut();
-                p.inference_active -= 1;
+                p.inference.finish(&mut sim.state_mut().telemetry, now);
                 p.labeled.push((file.clone(), ByteSize::bytes(bytes_u64)));
-                let active = p.inference_active;
                 drop(p);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("inference", now, active);
                 let now_s = now.as_secs_f64();
                 sim.state_mut().provenance.record(
                     format!("labeled:{file}"),
@@ -1158,14 +983,7 @@ fn pump_inference(sim: &mut Simulation<World>, progress: &P) {
             pump_inference(sim, &progress2);
             // The monitor loop handles the stop/ship decision; but if it
             // already stopped polling, check here too.
-            let stop = {
-                let p = progress2.borrow();
-                p.preprocess_done
-                    && p.inference_queue.is_empty()
-                    && p.inference_active == 0
-                    && p.labeled.len() == p.tile_files()
-            };
-            if stop {
+            if progress2.borrow().all_labeled() {
                 maybe_ship(sim, &progress2);
             }
         });
@@ -1174,97 +992,26 @@ fn pump_inference(sim: &mut Simulation<World>, progress: &P) {
 
 // --------------------------------------------------------- stage 5: shipment
 
-/// Assemble the shipment's manifest: one [`ArtifactEntry`] per shipped file
-/// (synthetic content digest + granule trace id), the upstream lineage
-/// slice behind each artifact from the provenance log, and the journal's
-/// compaction-invariant state digest when the campaign is journaled.
-pub(crate) fn build_shipment_manifest(
-    source: &str,
-    destination: &str,
-    files: &[(String, ByteSize)],
-    prov: &crate::provenance::ProvenanceLog,
-    journal: Option<(u64, u64)>,
-    now_s: f64,
-) -> ShipmentManifest {
-    let mut manifest = ShipmentManifest::new(source, destination, now_s);
-    manifest.journal = journal.map(|(events, checksum)| JournalDigest { events, checksum });
-    // Artifact order feeds the manifest id; sort by name so an interrupted
-    // and resumed campaign (whose completion order differs) still produces
-    // the same id — the destination's idempotency key.
-    let mut files: Vec<&(String, ByteSize)> = files.iter().collect();
-    files.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut seen: std::collections::BTreeSet<(String, String)> = std::collections::BTreeSet::new();
-    for (name, bytes) in files {
-        manifest.artifacts.push(ArtifactEntry {
-            name: name.clone(),
-            bytes: bytes.as_u64(),
-            digest: synthetic_digest(name, bytes.as_u64()),
-            trace_id: granule_trace_id(name),
-        });
-        // The lineage slice: the destination-side record plus everything
-        // upstream of it, deduplicated — shared ancestors (a granule's
-        // three MODIS products, say) appear once.
-        let shipped = format!("orion:{name}");
-        let mut chain = vec![shipped.clone()];
-        chain.extend(prov.lineage(&shipped));
-        for artifact in &chain {
-            for rec in prov.producers(artifact) {
-                if seen.insert((rec.artifact.clone(), rec.activity.clone())) {
-                    manifest.lineage.push(LineageRecord {
-                        artifact: rec.artifact.clone(),
-                        activity: rec.activity.clone(),
-                        inputs: rec.inputs.clone(),
-                        agent: rec.agent.clone(),
-                        at_s: rec.at_s,
-                    });
-                }
-            }
-        }
-    }
-    manifest
-}
-
-/// The campaign journal's `(events, checksum)` digest, if journaled.
-fn journal_digest(progress: &P) -> Option<(u64, u64)> {
-    let sink = progress.borrow().journal.clone();
-    sink.and_then(|j| j.borrow().state_digest())
-}
-
-/// Package the journal-sync payload that travels with the shipment: the
-/// ship-time digest plus the full compacted state. `None` for unjournaled
-/// campaigns or sinks that cannot export their state.
-fn build_journal_sync(progress: &P) -> Option<JournalSync> {
-    let sink = progress.borrow().journal.clone()?;
-    let sink = sink.borrow();
-    let (events, checksum) = sink.state_digest()?;
-    let state = sink.export_state()?;
-    Some(JournalSync::from_parts(events, checksum, state))
-}
-
 fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
-    if is_halted(progress) {
+    if halted(progress) {
         return;
     }
     let (files, replay_shipment) = {
         let mut p = progress.borrow_mut();
-        let ready = p.preprocess_done
-            && p.inference_queue.is_empty()
-            && p.inference_active == 0
-            && p.labeled.len() == p.tile_files()
-            && !p.shipped;
-        if !ready {
+        if !p.all_labeled() || p.shipped {
             return;
         }
         p.shipped = true;
-        let replay = if p.resume.stage_done("shipment") {
-            p.resume.shipped
+        let resume = p.journal.resume();
+        let replay = if resume.stage_done("shipment") {
+            resume.shipped
         } else {
             None
         };
         (p.labeled.clone(), replay)
     };
     let started = sim.now();
-    if !journal_started(progress, "shipment") {
+    if !journal_ok(progress, |j| j.stage_started("shipment")) {
         return;
     }
     // Journal says the shipment already completed before the crash: rebuild
@@ -1284,113 +1031,96 @@ fn maybe_ship(sim: &mut Simulation<World>, progress: &P) {
                 .map(|(n, _)| (n.clone(), started, started))
                 .collect(),
         };
-        let manifest = build_shipment_manifest(
-            "ace-defiant",
-            "frontier-orion",
-            &files,
-            &sim.state().provenance,
-            journal_digest(progress),
-            started.as_secs_f64(),
-        );
-        let sync = build_journal_sync(progress);
-        let mut p = progress.borrow_mut();
-        p.stages.push(StageReport {
-            name: "shipment".into(),
-            started,
-            finished: started,
-            items: report.files_ok,
-            bytes: report.bytes,
-        });
-        p.shipment = Some(report);
-        p.manifest = Some(manifest);
-        p.journal_sync = sync;
+        finish_shipment(sim, progress, started, report);
         return;
     }
     let progress2 = Rc::clone(progress);
     submit_transfer(
         sim,
-        "ace-defiant",
-        "frontier-orion",
+        SOURCE_FACILITY,
+        DEST_FACILITY,
         files,
         TransferOptions::default(),
         move |sim, report| {
-            if is_halted(&progress2) {
-                return;
-            }
-            if !journal_record(
-                &progress2,
-                JournalEvent::ShipmentFinished {
-                    files: report.files_ok as u64,
-                    bytes: report.bytes.as_u64(),
-                },
-            ) {
-                return;
-            }
-            if !journal_record(
-                &progress2,
-                JournalEvent::StageFinished {
-                    stage: "shipment".into(),
-                },
-            ) {
+            if halted(&progress2)
+                || !journal_ok(&progress2, |j| {
+                    j.record(JournalEvent::ShipmentFinished {
+                        files: report.files_ok as u64,
+                        bytes: report.bytes.as_u64(),
+                    })
+                })
+                || !journal_ok(&progress2, |j| j.stage_finished("shipment"))
+            {
                 return;
             }
             let now = sim.now();
-            {
-                let tel = &mut sim.state_mut().telemetry;
-                tel.span("shipment", "transfer", started, now);
-                // Per-file traced shipment windows close each granule's
-                // end-to-end trace (download → … → shipment).
-                for (name, from, to) in &report.file_windows {
-                    let trace = granule_trace_id(name).map(TraceContext::new);
-                    tel.span_traced("shipment", "file", *from, *to, trace.as_ref());
-                }
-                tel.count("files_shipped", "shipment", report.files_ok as u64);
-                tel.count("bytes_shipped", "shipment", report.bytes.as_u64());
+            let now_s = now.as_secs_f64();
+            let world = sim.state_mut();
+            world.telemetry.span("shipment", "transfer", started, now);
+            // Per-file traced shipment windows close each granule's
+            // end-to-end trace (download → … → shipment).
+            for (name, from, to) in &report.file_windows {
+                let trace = granule_trace_id(name).map(TraceContext::new);
+                world
+                    .telemetry
+                    .span_traced("shipment", "file", *from, *to, trace.as_ref());
             }
-            {
-                let now_s = now.as_secs_f64();
-                let shipped: Vec<String> =
-                    report.file_times.iter().map(|(n, _)| n.clone()).collect();
-                let prov = &mut sim.state_mut().provenance;
-                for name in shipped {
-                    prov.record(
-                        format!("orion:{name}"),
-                        "shipment",
-                        vec![format!("labeled:{name}")],
-                        "globus-transfer",
-                        now_s,
-                    );
-                }
+            world
+                .telemetry
+                .count("files_shipped", "shipment", report.files_ok as u64);
+            world
+                .telemetry
+                .count("bytes_shipped", "shipment", report.bytes.as_u64());
+            for (name, _) in &report.file_times {
+                world.provenance.record(
+                    format!("orion:{name}"),
+                    "shipment",
+                    vec![format!("labeled:{name}")],
+                    "globus-transfer",
+                    now_s,
+                );
             }
-            let journal = journal_digest(&progress2);
-            let manifest = {
-                let p = progress2.borrow();
-                build_shipment_manifest(
-                    "ace-defiant",
-                    "frontier-orion",
-                    &p.labeled,
-                    &sim.state().provenance,
-                    journal,
-                    now.as_secs_f64(),
-                )
-            };
-            // Snapshot the journal-sync payload at the same point the
-            // manifest's digest is taken — the two must agree for the
-            // destination's completeness check to pass.
-            let sync = build_journal_sync(&progress2);
-            let mut p = progress2.borrow_mut();
-            p.stages.push(StageReport {
-                name: "shipment".into(),
-                started,
-                finished: now,
-                items: report.files_ok,
-                bytes: report.bytes,
-            });
-            p.shipment = Some(report);
-            p.manifest = Some(manifest);
-            p.journal_sync = sync;
+            finish_shipment(sim, &progress2, started, report);
         },
     );
+}
+
+/// Close the shipment stage at the current time: the manifest over every
+/// labeled file (synthetic digests, provenance lineage) and the
+/// journal-sync payload, both snapshotted at the same journal digest — the
+/// two must agree for the destination's completeness check to pass.
+fn finish_shipment(
+    sim: &mut Simulation<World>,
+    progress: &P,
+    started: SimTime,
+    report: TransferReport,
+) {
+    let mut p = progress.borrow_mut();
+    let artifacts = p
+        .labeled
+        .iter()
+        .map(|(name, bytes)| {
+            let bytes = bytes.as_u64();
+            (name.clone(), bytes, synthetic_digest(name, bytes))
+        })
+        .collect();
+    let now = sim.now();
+    let manifest = shipment_manifest(
+        artifacts,
+        &sim.state().provenance,
+        p.journal.digest(),
+        now.as_secs_f64(),
+    );
+    p.journal_sync = p.journal.sync();
+    p.manifest = Some(manifest);
+    p.stages.push(StageReport {
+        name: "shipment".into(),
+        started,
+        finished: now,
+        items: report.files_ok,
+        bytes: report.bytes,
+    });
+    p.shipment = Some(report);
 }
 
 #[cfg(test)]

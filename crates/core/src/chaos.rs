@@ -8,7 +8,7 @@
 //!
 //! > After any kill/partition schedule, the resumed run is
 //! > **journal-equivalent** to an undisturbed run (same
-//! > [`CampaignState::work_checksum`]), its shipped artifacts are
+//! > [`CampaignState::work_checksum`](eoml_journal::CampaignState::work_checksum)), its shipped artifacts are
 //! > **byte-identical** (same manifest id and per-artifact digests), and
 //! > the destination records **no duplicate ingests**.
 //!

@@ -17,14 +17,15 @@
 //! work — the resumed run's labeled artifacts are byte-identical to an
 //! uninterrupted run's.
 
-use crate::campaign::JournalSink;
+use crate::provenance::ProvenanceLog;
+use crate::run::{shipment_manifest, JournalGate};
 use eoml_compute::endpoint::{ComputeEndpoint, TaskResult};
 use eoml_compute::registry::FunctionRegistry;
 use eoml_executor::local::LocalExecutor;
 use eoml_flows::definition::FlowDefinition;
 use eoml_flows::runner::FlowRunner;
 use eoml_flows::trigger::DirectoryCrawler;
-use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
+use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::files::{to_mod02, to_mod03, to_mod06};
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
@@ -37,7 +38,7 @@ use eoml_preprocess::writer::{append_labels, read_tiles_nc};
 use eoml_ricc::aicca::AiccaModel;
 use eoml_ricc::autoencoder::AeConfig;
 use eoml_ricc::tensor::Tensor;
-use eoml_transfer::manifest::{content_digest, ArtifactEntry, JournalDigest, ShipmentManifest};
+use eoml_transfer::manifest::{content_digest, ShipmentManifest};
 use serde_json::json;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -77,6 +78,12 @@ impl From<String> for RealRunError {
 impl From<&str> for RealRunError {
     fn from(msg: &str) -> Self {
         RealRunError::Pipeline(msg.to_string())
+    }
+}
+
+impl From<JournalError> for RealRunError {
+    fn from(e: JournalError) -> Self {
+        RealRunError::Journal(e)
     }
 }
 
@@ -202,7 +209,7 @@ impl RealPipeline {
 
     /// Run the pipeline over `granules`.
     pub fn run(&self, granules: &[GranuleId]) -> Result<RealRunReport, String> {
-        self.run_inner(granules, &mut None, &CampaignState::new())
+        self.run_inner(granules, JournalGate::default())
             .map_err(|e| e.to_string())
     }
 
@@ -223,530 +230,359 @@ impl RealPipeline {
     /// Returns [`RealRunError::Journal`]\([`JournalError::Crashed`]\) when
     /// the journal's injected kill point fires (see
     /// [`Journal::crash_after`]); reopening the journal over the same
-    /// storage and calling this again resumes from the durable prefix.
+    /// storage and calling this again resumes from the durable prefix. A
+    /// journal another seed or driver wrote is refused with
+    /// [`JournalError::Foreign`].
     pub fn run_resumable<S: Storage>(
         &self,
         granules: &[GranuleId],
         journal: &mut Journal<S>,
     ) -> Result<RealRunReport, RealRunError> {
-        let resume = journal.state().clone();
-        if let Some(seed) = resume.seed {
-            if seed != self.seed {
-                return Err(RealRunError::Journal(JournalError::Io(format!(
-                    "journal belongs to seed {seed}, pipeline uses seed {}",
-                    self.seed
-                ))));
-            }
+        let gate = JournalGate::open(journal, self.seed, REAL_RUN_LABEL)?;
+        self.run_inner(granules, gate)
+    }
+
+    /// One wall-clock stage: `body` runs between the journal's
+    /// `StageStarted`/`StageFinished` for `stage`, inside the obs span
+    /// `span`, which gets `body`'s `(key, value)` attribute. Returns
+    /// `body`'s output and the stage's seconds.
+    fn stage<'j, T>(
+        &self,
+        journal: &mut JournalGate<'j>,
+        stage: &str,
+        span: (&str, &str),
+        body: impl FnOnce(&mut JournalGate<'j>) -> Result<(T, (&'static str, usize)), RealRunError>,
+    ) -> Result<(T, f64), RealRunError> {
+        let t0 = Instant::now();
+        let span = self.obs.as_ref().map(|o| o.span(span.0, span.1));
+        journal.stage_started(stage)?;
+        let (out, (key, value)) = body(journal)?;
+        journal.stage_finished(stage)?;
+        if let Some(mut span) = span {
+            span.attr(key, value);
         }
-        if let Some(label) = &resume.label {
-            if label != REAL_RUN_LABEL {
-                return Err(RealRunError::Journal(JournalError::Io(format!(
-                    "journal belongs to a {label:?} run, not a real pipeline run"
-                ))));
-            }
-        }
-        if resume.seed.is_none() {
-            journal
-                .append(JournalEvent::CampaignStarted {
-                    seed: self.seed,
-                    label: REAL_RUN_LABEL.into(),
-                })
-                .map_err(RealRunError::Journal)?;
-        }
-        let mut sink: Option<&mut dyn JournalSink> = Some(journal);
-        self.run_inner(granules, &mut sink, &resume)
+        Ok((out, t0.elapsed().as_secs_f64()))
     }
 
     fn run_inner(
         &self,
         granules: &[GranuleId],
-        journal: &mut Option<&mut dyn JournalSink>,
-        resume: &CampaignState,
+        mut journal: JournalGate<'_>,
     ) -> Result<RealRunReport, RealRunError> {
         let incoming = self.workdir.join("incoming");
         let tiles_dir = self.workdir.join("tiles");
         let outbox = self.workdir.join("outbox");
-
-        let record = |journal: &mut Option<&mut dyn JournalSink>,
-                      event: JournalEvent|
-         -> Result<(), RealRunError> {
-            if let Some(j) = journal {
-                j.append(event).map_err(RealRunError::Journal)?;
-            }
-            Ok(())
-        };
-        let stage_started =
-            |journal: &mut Option<&mut dyn JournalSink>, stage: &str| -> Result<(), RealRunError> {
-                if !resume.stages_started.contains(stage) {
-                    record(
-                        journal,
-                        JournalEvent::StageStarted {
-                            stage: stage.into(),
-                        },
-                    )?;
-                }
-                Ok(())
-            };
-        let stage_finished =
-            |journal: &mut Option<&mut dyn JournalSink>, stage: &str| -> Result<(), RealRunError> {
-                if !resume.stage_done(stage) {
-                    record(
-                        journal,
-                        JournalEvent::StageFinished {
-                            stage: stage.into(),
-                        },
-                    )?;
-                }
-                Ok(())
-            };
+        let resume = journal.resume().clone();
+        let run_t0 = Instant::now();
 
         // Stage 1 (substituted download): the paper's remotely executable
         // download function, registered on a real compute endpoint. Each
         // invocation materializes one granule's three product files.
         // Granules whose download is journaled AND whose product files are
         // still on disk are skipped.
-        let t0 = Instant::now();
-        let stage_span = self.obs.as_ref().map(|o| o.span("download", "synthesize"));
-        stage_started(journal, "download")?;
-        let granule_paths: Vec<(GranuleId, [PathBuf; 3])> = granules
-            .iter()
-            .map(|&g| {
-                (
-                    g,
-                    [
-                        incoming.join(g.file_name(ProductKind::Mod02)),
-                        incoming.join(g.file_name(ProductKind::Mod03)),
-                        incoming.join(g.file_name(ProductKind::Mod06)),
-                    ],
-                )
-            })
-            .collect();
-        let to_download: Vec<&(GranuleId, [PathBuf; 3])> = granule_paths
-            .iter()
-            .filter(|(g, paths)| {
-                !(resume.is_downloaded(&g.to_string()) && paths.iter().all(|p| p.exists()))
-            })
-            .collect();
-        if !to_download.is_empty() {
-            let registry = Arc::new(FunctionRegistry::new());
-            {
-                let synth = self.synth.clone();
-                let incoming = incoming.clone();
-                registry.register("download_granule", move |args| {
-                    let g = granule_from_json(&args).ok_or("bad granule args")?;
-                    let swath = synth.synthesize(g);
-                    let p02 = incoming.join(g.file_name(ProductKind::Mod02));
-                    let p03 = incoming.join(g.file_name(ProductKind::Mod03));
-                    let p06 = incoming.join(g.file_name(ProductKind::Mod06));
-                    let b02 = to_mod02(&swath).encode();
-                    let b03 = to_mod03(&swath).encode();
-                    let b06 = to_mod06(&swath).encode();
-                    let bytes = (b02.len() + b03.len() + b06.len()) as u64;
-                    std::fs::write(&p02, b02).map_err(|e| e.to_string())?;
-                    std::fs::write(&p03, b03).map_err(|e| e.to_string())?;
-                    std::fs::write(&p06, b06).map_err(|e| e.to_string())?;
-                    Ok(json!({
-                        "mod02": p02.to_string_lossy(),
-                        "mod03": p03.to_string_lossy(),
-                        "mod06": p06.to_string_lossy(),
-                        "bytes": bytes,
-                    }))
-                });
-            }
-            let endpoint = ComputeEndpoint::start_observed(
-                "laads-downloader",
-                registry,
-                self.executor.workers(),
-                self.obs.clone(),
-            );
-            let handles: Vec<_> = to_download
-                .iter()
-                .map(|(g, _)| {
-                    let trace = TraceContext::new(g.to_string());
-                    endpoint
-                        .submit_by_name_traced("download_granule", granule_to_json(g), Some(&trace))
-                        .expect("registered function")
-                })
-                .collect();
-            for ((g, _), h) in to_download.iter().zip(handles) {
-                match h.wait() {
-                    TaskResult::Success(v) => {
-                        let key = g.to_string();
-                        if !resume.is_downloaded(&key) {
-                            record(
-                                journal,
-                                JournalEvent::FileDownloaded {
-                                    file: key,
-                                    bytes: v["bytes"].as_u64().unwrap_or(0),
-                                },
-                            )?;
-                        }
-                    }
-                    TaskResult::Failed(e) => {
-                        return Err(format!("download failed: {e}").into());
-                    }
+        let (granule_paths, synth_secs) = self.stage(
+            &mut journal,
+            "download",
+            ("download", "synthesize"),
+            |journal| {
+                let granule_paths: Vec<(GranuleId, [PathBuf; 3])> = granules
+                    .iter()
+                    .map(|&g| (g, ProductKind::all().map(|p| incoming.join(g.file_name(p)))))
+                    .collect();
+                let to_download: Vec<GranuleId> = granule_paths
+                    .iter()
+                    .filter(|(g, paths)| {
+                        !(resume.is_downloaded(&g.to_string()) && paths.iter().all(|p| p.exists()))
+                    })
+                    .map(|&(g, _)| g)
+                    .collect();
+                if !to_download.is_empty() {
+                    self.download(&incoming, &to_download, &resume, journal)?;
                 }
-            }
-            endpoint.shutdown();
-        }
-        stage_finished(journal, "download")?;
-        if let Some(mut span) = stage_span {
-            span.attr("granules", granules.len());
-        }
-        let synth_secs = t0.elapsed().as_secs_f64();
+                Ok((granule_paths, ("granules", granules.len())))
+            },
+        )?;
 
         // Stage 2: parallel preprocessing. A granule whose tile file (or
         // night-granule scan record) is journaled and whose artifact is
         // accounted for — still in tiles/, already labeled, or shipped —
         // is folded in from the journal without re-running the kernels.
-        let t1 = Instant::now();
-        let stage_span = self.obs.as_ref().map(|o| o.span("preprocess", "map"));
-        stage_started(journal, "preprocess")?;
-        let mut total_tiles = 0usize;
-        let mut tile_file_names: BTreeSet<String> = BTreeSet::new();
-        let mut to_preprocess: Vec<[PathBuf; 3]> = Vec::new();
-        for (g, paths) in &granule_paths {
-            let tiles_key = format!("tiles-{g}.nc");
-            let scan_key = format!("scan-{g}");
-            if let Some(&tiles) = resume.tile_files.get(&tiles_key) {
-                let artifact_accounted = tiles_dir.join(&tiles_key).exists()
-                    || resume.is_labeled(&tiles_key)
-                    || outbox.join(&tiles_key).exists();
-                if artifact_accounted {
-                    total_tiles += tiles as usize;
-                    tile_file_names.insert(tiles_key);
-                    continue;
+        let ((total_tiles, mut tile_file_names), preprocess_secs) = self.stage(
+            &mut journal,
+            "preprocess",
+            ("preprocess", "map"),
+            |journal| {
+                let mut total_tiles = 0usize;
+                let mut tile_file_names: BTreeSet<String> = BTreeSet::new();
+                let mut to_preprocess: Vec<(GranuleId, [PathBuf; 3])> = Vec::new();
+                for (g, paths) in &granule_paths {
+                    let tiles_key = format!("tiles-{g}.nc");
+                    let scan_key = format!("scan-{g}");
+                    if let Some(&tiles) = resume.tile_files.get(&tiles_key) {
+                        let artifact_accounted = tiles_dir.join(&tiles_key).exists()
+                            || resume.is_labeled(&tiles_key)
+                            || outbox.join(&tiles_key).exists();
+                        if artifact_accounted {
+                            total_tiles += tiles as usize;
+                            tile_file_names.insert(tiles_key);
+                            continue;
+                        }
+                        // Artifact lost under a journaled completion (workdir
+                        // tampering): fall through and regenerate it.
+                    } else if resume.tile_files.contains_key(&scan_key) {
+                        continue;
+                    }
+                    to_preprocess.push((*g, paths.clone()));
                 }
-                // Artifact lost under a journaled completion (workdir
-                // tampering): fall through and regenerate it.
-            } else if resume.tile_files.contains_key(&scan_key) {
-                continue;
-            }
-            to_preprocess.push(paths.clone());
-        }
-        // Attribute the stage's allocations (tile buffers, outcome
-        // collection) when the counting allocator is installed.
-        let mem_scope = self
-            .obs
-            .as_ref()
-            .map(|o| eoml_obs::ResourceGuard::enter(Arc::clone(o), "preprocess", "map"));
-        let outcomes = self.executor.map(to_preprocess, |[p02, p03, p06]| {
-            let granule = granule_from_mod02_path(&p02);
-            preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
-                .map(|out| (granule, out))
-                .map_err(|e| e.to_string())
-        });
-        for o in &outcomes {
-            match o {
-                Ok((granule, out)) => {
+                // Attribute the stage's allocations (tile buffers, outcome
+                // collection) when the counting allocator is installed.
+                let mem_scope = self
+                    .obs
+                    .as_ref()
+                    .map(|o| eoml_obs::ResourceGuard::enter(Arc::clone(o), "preprocess", "map"));
+                let outcomes = self.executor.map(to_preprocess, |(g, [p02, p03, p06])| {
+                    preprocess_granule_files(&p02, &p03, &p06, &tiles_dir, &self.criteria)
+                        .map(|out| (g, out))
+                        .map_err(|e| e.to_string())
+                });
+                for o in outcomes {
+                    let (granule, out) = o.map_err(|e| format!("preprocess failed: {e}"))?;
                     total_tiles += out.tiles.len();
                     let key = match &out.output {
                         Some(path) => {
-                            let name = path
-                                .file_name()
-                                .and_then(|n| n.to_str())
-                                .ok_or("bad tile file name")?
-                                .to_string();
+                            let name = file_name(path)?;
                             tile_file_names.insert(name.clone());
                             name
                         }
-                        None => format!("scan-{}", granule.as_deref().unwrap_or("unknown-granule")),
+                        None => format!("scan-{granule}"),
                     };
                     if !resume.has_tile_file(&key) {
-                        record(
-                            journal,
-                            JournalEvent::TileFileWritten {
-                                file: key,
-                                tiles: out.tiles.len() as u64,
-                            },
-                        )?;
+                        journal.record(JournalEvent::TileFileWritten {
+                            file: key,
+                            tiles: out.tiles.len() as u64,
+                        })?;
                     }
                 }
-                Err(e) => return Err(format!("preprocess failed: {e}").into()),
-            }
-        }
-        drop(mem_scope);
-        stage_finished(journal, "preprocess")?;
-        if let Some(mut span) = stage_span {
-            span.attr("tiles", total_tiles);
-        }
-        let preprocess_secs = t1.elapsed().as_secs_f64();
+                drop(mem_scope);
+                Ok(((total_tiles, tile_file_names), ("tiles", total_tiles)))
+            },
+        )?;
 
         // Stages 3+4: monitor the tiles directory and run the inference
         // flow per discovered file.
-        let t2 = Instant::now();
-        let stage_span = self.obs.as_ref().map(|o| o.span("monitor", "crawl"));
-        stage_started(journal, "inference")?;
-        let mut crawler = DirectoryCrawler::new(&tiles_dir, ".nc");
-        let flow = FlowDefinition::inference_flow();
-        let mut labeled_tiles = 0usize;
-        let mut histogram = vec![0usize; self.model.num_classes()];
+        let ((tile_files, histogram, labeled_tiles), infer_secs) =
+            self.stage(&mut journal, "inference", ("monitor", "crawl"), |journal| {
+                let mut histogram = vec![0usize; self.model.num_classes()];
+                let mut labeled_tiles = 0usize;
 
-        // Fold journaled-complete inference back into the tallies by
-        // reading the shipped artifacts (the labels themselves are not in
-        // the journal; the files are the source of truth).
-        for (file, (labels, _bytes)) in &resume.labeled {
-            tile_file_names.insert(file.clone());
-            let path = outbox.join(file);
-            match std::fs::read(&path) {
-                Ok(bytes) => {
-                    let nc = NcFile::decode(&bytes).map_err(|e| e.to_string())?;
-                    let (_, file_labels) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
-                    for l in file_labels.unwrap_or_default() {
-                        if l >= 0 && (l as usize) < histogram.len() {
-                            histogram[l as usize] += 1;
-                            labeled_tiles += 1;
+                // Fold journaled-complete inference back into the tallies by
+                // reading the shipped artifacts (the labels themselves are
+                // not in the journal; the files are the source of truth).
+                for (file, (labels, _bytes)) in &resume.labeled {
+                    tile_file_names.insert(file.clone());
+                    match std::fs::read(outbox.join(file)) {
+                        Ok(bytes) => {
+                            let labels = stored_labels(&bytes)?;
+                            labeled_tiles +=
+                                tally(&mut histogram, labels.into_iter().map(i64::from));
                         }
+                        // Artifact missing (workdir tampering): trust the
+                        // journal for the count; the class breakdown is
+                        // unrecoverable.
+                        Err(_) => labeled_tiles += *labels as usize,
                     }
                 }
-                // Artifact missing (workdir tampering): trust the journal
-                // for the count; the class breakdown is unrecoverable.
-                Err(_) => labeled_tiles += *labels as usize,
-            }
-        }
 
-        // Heal the journal/filesystem gap: a file that reached the outbox
-        // whose LabelsAppended append crashed is complete on disk but not
-        // in the journal — journal it now instead of losing or redoing it.
-        if journal.is_some() {
-            let mut healed: Vec<PathBuf> = std::fs::read_dir(&outbox)
-                .map_err(|e| e.to_string())?
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .filter(|p| p.extension().map(|x| x == "nc").unwrap_or(false))
-                .collect();
-            healed.sort();
-            for path in healed {
-                let name = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .ok_or("bad file name")?
-                    .to_string();
-                if resume.is_labeled(&name) {
-                    continue;
-                }
-                tile_file_names.insert(name.clone());
-                let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
-                let nc = NcFile::decode(&bytes).map_err(|e| e.to_string())?;
-                let (_, file_labels) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
-                let file_labels = file_labels.unwrap_or_default();
-                for &l in &file_labels {
-                    if l >= 0 && (l as usize) < histogram.len() {
-                        histogram[l as usize] += 1;
-                        labeled_tiles += 1;
+                // Heal the journal/filesystem gap: a file that reached the
+                // outbox whose LabelsAppended append crashed is complete on
+                // disk but not in the journal — journal it now instead of
+                // losing or redoing it.
+                if journal.is_journaled() {
+                    for path in list_nc(&outbox)? {
+                        let name = file_name(&path)?;
+                        if resume.is_labeled(&name) {
+                            continue;
+                        }
+                        tile_file_names.insert(name.clone());
+                        let bytes = std::fs::read(&path).map_err(|e| e.to_string())?;
+                        let file_labels = stored_labels(&bytes)?;
+                        labeled_tiles +=
+                            tally(&mut histogram, file_labels.iter().map(|&l| i64::from(l)));
+                        if !resume.monitor_saw(&name) {
+                            journal
+                                .record(JournalEvent::MonitorTriggered { file: name.clone() })?;
+                        }
+                        journal.record(JournalEvent::LabelsAppended {
+                            file: name,
+                            labels: file_labels.len() as u64,
+                            bytes: bytes.len() as u64,
+                        })?;
                     }
                 }
-                if !resume.monitor_saw(&name) {
-                    record(
-                        journal,
-                        JournalEvent::MonitorTriggered { file: name.clone() },
-                    )?;
-                }
-                record(
-                    journal,
-                    JournalEvent::LabelsAppended {
-                        file: name,
-                        labels: file_labels.len() as u64,
-                        bytes: bytes.len() as u64,
-                    },
-                )?;
-            }
-        }
 
-        let model = &self.model;
-        let tiles_dir2 = tiles_dir.clone();
-        let mut infer = move |_: &str,
-                              params: &serde_json::Value,
-                              _: &serde_json::Value|
-              -> Result<serde_json::Value, String> {
-            let file = params["file"].as_str().ok_or("missing file param")?;
-            let path = tiles_dir2.join(file);
-            let nc = NcFile::decode(&std::fs::read(&path).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-            let (tiles, existing) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
-            // A crash between label-append and shipment can leave a file
-            // already labeled in the tiles directory; reuse those labels
-            // so the rerun is idempotent.
-            if let Some(labels) = existing {
-                return Ok(json!({ "labels": labels }));
-            }
-            let tensors: Vec<Tensor> = tiles
-                .iter()
-                .map(|t| Tensor::from_data(t.bands.len(), t.size, t.size, t.data.clone()))
-                .collect();
-            let labels = model.predict_batch(&tensors);
-            Ok(json!({ "labels": labels }))
-        };
-        let tiles_dir3 = tiles_dir.clone();
-        let mut append = move |_: &str,
-                               params: &serde_json::Value,
-                               _: &serde_json::Value|
-              -> Result<serde_json::Value, String> {
-            let file = params["file"].as_str().ok_or("missing file param")?;
-            let labels: Vec<i32> = params["labels"]["labels"]
-                .as_array()
-                .ok_or("missing labels")?
-                .iter()
-                .map(|v| v.as_i64().unwrap_or(-1) as i32)
-                .collect();
-            let path = tiles_dir3.join(file);
-            let mut nc = NcFile::decode(&std::fs::read(&path).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-            // Idempotent on rerun: labels already appended by a run that
-            // died before shipping this file.
-            if nc.var_by_name("aicca_label").is_some() {
-                return Ok(json!({ "appended": 0 }));
-            }
-            append_labels(&mut nc, &labels).map_err(|e| e.to_string())?;
-            std::fs::write(&path, nc.encode().map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-            Ok(json!({ "appended": labels.len() }))
-        };
-        let tiles_dir4 = tiles_dir.clone();
-        let outbox2 = outbox.clone();
-        let mut move_out = move |_: &str,
+                let mut infer = |_: &str,
                                  params: &serde_json::Value,
                                  _: &serde_json::Value|
-              -> Result<serde_json::Value, String> {
-            let file = params["file"].as_str().ok_or("missing file param")?;
-            std::fs::rename(tiles_dir4.join(file), outbox2.join(file))
-                .map_err(|e| e.to_string())?;
-            Ok(json!({ "moved": file }))
-        };
-
-        let mut runner = FlowRunner::new();
-        if let Some(obs) = &self.obs {
-            runner.obs = Some(Arc::clone(obs));
-        }
-        runner.register("inference", &mut infer);
-        runner.register("append_labels", &mut append);
-        runner.register("move_to_outbox", &mut move_out);
-
-        // Drain the crawler (preprocessing already finished, so one crawl
-        // sees everything; loop anyway to mirror the monitor structure).
-        loop {
-            let fresh = crawler.crawl().map_err(|e| e.to_string())?;
-            if fresh.is_empty() {
-                break;
-            }
-            for path in fresh {
-                let name = path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .ok_or("bad file name")?
-                    .to_string();
-                tile_file_names.insert(name.clone());
-                if !resume.monitor_saw(&name) {
-                    record(
-                        journal,
-                        JournalEvent::MonitorTriggered { file: name.clone() },
-                    )?;
-                }
-                let trace = crate::campaign::granule_trace_id(&name).map(TraceContext::new);
-                let mut infer_span = self.obs.as_ref().map(|o| o.span("inference", "flow"));
-                if let (Some(span), Some(trace)) = (infer_span.as_mut(), trace.as_ref()) {
-                    span.set_trace(trace);
-                }
-                let run = match trace.as_ref() {
-                    Some(trace) => runner.run_traced(&flow, json!({ "file": name }), trace),
-                    None => runner.run(&flow, json!({ "file": name })),
+                 -> Result<serde_json::Value, String> {
+                    let file = params["file"].as_str().ok_or("missing file param")?;
+                    let path = tiles_dir.join(file);
+                    let nc = NcFile::decode(&std::fs::read(&path).map_err(|e| e.to_string())?)
+                        .map_err(|e| e.to_string())?;
+                    let (tiles, existing) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
+                    // A crash between label-append and shipment can leave a
+                    // file already labeled in the tiles directory; reuse
+                    // those labels so the rerun is idempotent.
+                    if let Some(labels) = existing {
+                        return Ok(json!({ "labels": labels }));
+                    }
+                    let tensors: Vec<Tensor> = tiles
+                        .iter()
+                        .map(|t| Tensor::from_data(t.bands.len(), t.size, t.size, t.data.clone()))
+                        .collect();
+                    let labels = self.model.predict_batch(&tensors);
+                    Ok(json!({ "labels": labels }))
                 };
-                if let Some(mut span) = infer_span {
-                    span.attr("file", &name);
+                let mut append = |_: &str,
+                                  params: &serde_json::Value,
+                                  _: &serde_json::Value|
+                 -> Result<serde_json::Value, String> {
+                    let file = params["file"].as_str().ok_or("missing file param")?;
+                    let labels: Vec<i32> = params["labels"]["labels"]
+                        .as_array()
+                        .ok_or("missing labels")?
+                        .iter()
+                        .map(|v| v.as_i64().unwrap_or(-1) as i32)
+                        .collect();
+                    let path = tiles_dir.join(file);
+                    let mut nc = NcFile::decode(&std::fs::read(&path).map_err(|e| e.to_string())?)
+                        .map_err(|e| e.to_string())?;
+                    // Idempotent on rerun: labels already appended by a run
+                    // that died before shipping this file.
+                    if nc.var_by_name("aicca_label").is_some() {
+                        return Ok(json!({ "appended": 0 }));
+                    }
+                    append_labels(&mut nc, &labels).map_err(|e| e.to_string())?;
+                    std::fs::write(&path, nc.encode().map_err(|e| e.to_string())?)
+                        .map_err(|e| e.to_string())?;
+                    Ok(json!({ "appended": labels.len() }))
+                };
+                let mut move_out = |_: &str,
+                                    params: &serde_json::Value,
+                                    _: &serde_json::Value|
+                 -> Result<serde_json::Value, String> {
+                    let file = params["file"].as_str().ok_or("missing file param")?;
+                    std::fs::rename(tiles_dir.join(file), outbox.join(file))
+                        .map_err(|e| e.to_string())?;
+                    Ok(json!({ "moved": file }))
+                };
+
+                let mut runner = FlowRunner::new();
+                if let Some(obs) = &self.obs {
+                    runner.obs = Some(Arc::clone(obs));
                 }
-                if let eoml_flows::runner::RunStatus::Failed(e) = &run.status {
-                    return Err(format!("inference flow failed for {name}: {e}").into());
-                }
-                // Tally labels from the flow context.
-                let mut file_labels = 0u64;
-                if let Some(labels) = run.context["labels"]["labels"].as_array() {
-                    for l in labels {
-                        let l = l.as_i64().unwrap_or(-1);
-                        if l >= 0 && (l as usize) < histogram.len() {
-                            histogram[l as usize] += 1;
-                            labeled_tiles += 1;
-                            file_labels += 1;
+                runner.register("inference", &mut infer);
+                runner.register("append_labels", &mut append);
+                runner.register("move_to_outbox", &mut move_out);
+                let flow = FlowDefinition::inference_flow();
+                let mut crawler = DirectoryCrawler::new(&tiles_dir, ".nc");
+
+                // Drain the crawler (preprocessing already finished, so one
+                // crawl sees everything; loop anyway to mirror the monitor
+                // structure).
+                loop {
+                    let fresh = crawler.crawl().map_err(|e| e.to_string())?;
+                    if fresh.is_empty() {
+                        break;
+                    }
+                    for path in fresh {
+                        let name = file_name(&path)?;
+                        tile_file_names.insert(name.clone());
+                        if !resume.monitor_saw(&name) {
+                            journal
+                                .record(JournalEvent::MonitorTriggered { file: name.clone() })?;
+                        }
+                        let trace = crate::campaign::granule_trace_id(&name).map(TraceContext::new);
+                        let mut infer_span = self.obs.as_ref().map(|o| o.span("inference", "flow"));
+                        if let (Some(span), Some(trace)) = (infer_span.as_mut(), trace.as_ref()) {
+                            span.set_trace(trace);
+                        }
+                        let run = match trace.as_ref() {
+                            Some(trace) => runner.run_traced(&flow, json!({ "file": name }), trace),
+                            None => runner.run(&flow, json!({ "file": name })),
+                        };
+                        if let Some(mut span) = infer_span {
+                            span.attr("file", &name);
+                        }
+                        if let eoml_flows::runner::RunStatus::Failed(e) = &run.status {
+                            return Err(format!("inference flow failed for {name}: {e}").into());
+                        }
+                        // Tally labels from the flow context.
+                        let file_labels = tally(
+                            &mut histogram,
+                            run.context["labels"]["labels"]
+                                .as_array()
+                                .into_iter()
+                                .flatten()
+                                .map(|l| l.as_i64().unwrap_or(-1)),
+                        );
+                        labeled_tiles += file_labels;
+                        if !resume.is_labeled(&name) {
+                            let shipped_bytes = std::fs::metadata(outbox.join(&name))
+                                .map(|m| m.len())
+                                .unwrap_or(0);
+                            journal.record(JournalEvent::LabelsAppended {
+                                file: name,
+                                labels: file_labels as u64,
+                                bytes: shipped_bytes,
+                            })?;
                         }
                     }
                 }
-                if !resume.is_labeled(&name) {
-                    let shipped_bytes = std::fs::metadata(outbox.join(&name))
-                        .map(|m| m.len())
-                        .unwrap_or(0);
-                    record(
-                        journal,
-                        JournalEvent::LabelsAppended {
-                            file: name,
-                            labels: file_labels,
-                            bytes: shipped_bytes,
-                        },
-                    )?;
-                }
-            }
-        }
-        stage_finished(journal, "inference")?;
-        let tile_files = tile_file_names
-            .iter()
-            .filter(|n| n.ends_with(".nc"))
-            .count();
-        if let Some(mut span) = stage_span {
-            span.attr("tile_files", tile_files);
-        }
-        let infer_secs = t2.elapsed().as_secs_f64();
+                let tile_files = tile_file_names
+                    .iter()
+                    .filter(|n| n.ends_with(".nc"))
+                    .count();
+                Ok((
+                    (tile_files, histogram, labeled_tiles),
+                    ("tile_files", tile_files),
+                ))
+            })?;
 
         // Stage 5: the outbox *is* the destination facility here; collect
-        // the shipped files.
-        let t3 = Instant::now();
-        let stage_span = self.obs.as_ref().map(|o| o.span("shipment", "collect"));
-        stage_started(journal, "shipment")?;
-        let mut shipped: Vec<PathBuf> = std::fs::read_dir(&outbox)
-            .map_err(|e| e.to_string())?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().map(|x| x == "nc").unwrap_or(false))
-            .collect();
-        shipped.sort();
-        if resume.shipped.is_none() {
-            let shipped_bytes: u64 = shipped
-                .iter()
-                .filter_map(|p| std::fs::metadata(p).ok())
-                .map(|m| m.len())
-                .sum();
-            record(
-                journal,
-                JournalEvent::ShipmentFinished {
-                    files: shipped.len() as u64,
-                    bytes: shipped_bytes,
-                },
-            )?;
-        }
-        stage_finished(journal, "shipment")?;
-        // The manifest hashes the real shipped bytes — what a destination
+        // the shipped files and hash their real bytes — what a destination
         // facility would verify against after the WAN hop.
-        let mut manifest =
-            ShipmentManifest::new("ace-defiant", "frontier-orion", t0.elapsed().as_secs_f64());
-        for path in &shipped {
-            let name = path
-                .file_name()
-                .and_then(|n| n.to_str())
-                .ok_or("bad file name")?
-                .to_string();
-            let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
-            manifest.artifacts.push(ArtifactEntry {
-                name: name.clone(),
-                bytes: bytes.len() as u64,
-                digest: content_digest(&bytes),
-                trace_id: crate::campaign::granule_trace_id(&name),
-            });
-        }
-        manifest.journal = journal
-            .as_ref()
-            .and_then(|j| j.state_digest())
-            .map(|(events, checksum)| JournalDigest { events, checksum });
-        if let Some(mut span) = stage_span {
-            span.attr("files", shipped.len());
-        }
-        let ship_secs = t3.elapsed().as_secs_f64();
+        let ((shipped, artifacts), ship_secs) = self.stage(
+            &mut journal,
+            "shipment",
+            ("shipment", "collect"),
+            |journal| {
+                let shipped = list_nc(&outbox)?;
+                if resume.shipped.is_none() {
+                    let shipped_bytes: u64 = shipped
+                        .iter()
+                        .filter_map(|p| std::fs::metadata(p).ok())
+                        .map(|m| m.len())
+                        .sum();
+                    journal.record(JournalEvent::ShipmentFinished {
+                        files: shipped.len() as u64,
+                        bytes: shipped_bytes,
+                    })?;
+                }
+                let mut artifacts = Vec::with_capacity(shipped.len());
+                for path in &shipped {
+                    let bytes = std::fs::read(path).map_err(|e| e.to_string())?;
+                    artifacts.push((file_name(path)?, bytes.len() as u64, content_digest(&bytes)));
+                }
+                let files = shipped.len();
+                Ok(((shipped, artifacts), ("files", files)))
+            },
+        )?;
+        let manifest = shipment_manifest(
+            artifacts,
+            &ProvenanceLog::new(),
+            journal.digest(),
+            run_t0.elapsed().as_secs_f64(),
+        );
 
         if let Some(obs) = &self.obs {
             obs.counter_add("granules", "download", granules.len() as u64);
@@ -766,48 +602,111 @@ impl RealPipeline {
             manifest: Some(manifest),
         })
     }
-}
 
-fn granule_to_json(g: &GranuleId) -> serde_json::Value {
-    json!({
-        "platform": g.platform.to_string(),
-        "year": g.date.year(),
-        "doy": g.date.ordinal(),
-        "slot": g.slot,
-    })
-}
-
-fn granule_from_json(v: &serde_json::Value) -> Option<GranuleId> {
-    use eoml_modis::product::Platform;
-    use eoml_util::timebase::CivilDate;
-    let platform = match v["platform"].as_str()? {
-        "Terra" => Platform::Terra,
-        "Aqua" => Platform::Aqua,
-        _ => return None,
-    };
-    let date = CivilDate::from_ordinal(v["year"].as_i64()? as i32, v["doy"].as_i64()? as u16)?;
-    let slot = v["slot"].as_u64()? as u16;
-    if slot >= eoml_modis::granule::SLOTS_PER_DAY {
-        return None;
+    /// Materialise `granules`' product files in `incoming` through the
+    /// `download_granule` function on a compute endpoint, journaling each
+    /// granule's `FileDownloaded` (keyed by its display id) on success.
+    fn download(
+        &self,
+        incoming: &Path,
+        granules: &[GranuleId],
+        resume: &eoml_journal::CampaignState,
+        journal: &mut JournalGate<'_>,
+    ) -> Result<(), RealRunError> {
+        let registry = Arc::new(FunctionRegistry::new());
+        let synth = self.synth.clone();
+        let dir = incoming.to_path_buf();
+        registry.register("download_granule", move |args| {
+            let g: GranuleId = args
+                .as_str()
+                .and_then(|id| id.parse().ok())
+                .ok_or("bad granule args")?;
+            let swath = synth.synthesize(g);
+            let paths = ProductKind::all().map(|p| dir.join(g.file_name(p)));
+            // One product in flight at a time: each encode's temporary
+            // product is dropped before the next one is built.
+            let b02 = to_mod02(&swath).encode();
+            let b03 = to_mod03(&swath).encode();
+            let b06 = to_mod06(&swath).encode();
+            let bytes = (b02.len() + b03.len() + b06.len()) as u64;
+            for (path, data) in paths.iter().zip([b02, b03, b06]) {
+                std::fs::write(path, data).map_err(|e| e.to_string())?;
+            }
+            let [p02, p03, p06] = paths.map(|p| p.to_string_lossy().into_owned());
+            Ok(json!({ "mod02": p02, "mod03": p03, "mod06": p06, "bytes": bytes }))
+        });
+        let endpoint = ComputeEndpoint::start_observed(
+            "laads-downloader",
+            registry,
+            self.executor.workers(),
+            self.obs.clone(),
+        );
+        let handles: Vec<_> = granules
+            .iter()
+            .map(|g| {
+                let trace = TraceContext::new(g.to_string());
+                endpoint
+                    .submit_by_name_traced("download_granule", json!(g.to_string()), Some(&trace))
+                    .expect("registered function")
+            })
+            .collect();
+        for (g, h) in granules.iter().zip(handles) {
+            match h.wait() {
+                TaskResult::Success(v) => {
+                    let key = g.to_string();
+                    if !resume.is_downloaded(&key) {
+                        journal.record(JournalEvent::FileDownloaded {
+                            file: key,
+                            bytes: v["bytes"].as_u64().unwrap_or(0),
+                        })?;
+                    }
+                }
+                TaskResult::Failed(e) => return Err(format!("download failed: {e}").into()),
+            }
+        }
+        endpoint.shutdown();
+        Ok(())
     }
-    Some(GranuleId::new(platform, date, slot))
 }
 
-/// Granule display id recovered from a MOD02 product path
-/// (`MOD021KM.A2022001.0005.eogr` → `MOD.A2022001.0005`), for naming the
-/// no-tiles scan record of a night granule.
-fn granule_from_mod02_path(p: &Path) -> Option<String> {
-    let stem = p.file_stem()?.to_str()?;
-    let mut parts = stem.split('.');
-    let product = parts.next()?;
-    let date = parts.next()?;
-    let slot = parts.next()?;
-    let prefix = if product.starts_with("MYD") {
-        "MYD"
-    } else {
-        "MOD"
-    };
-    Some(format!("{prefix}.{date}.{slot}"))
+/// Count the valid AICCA labels among `labels` into `histogram`; returns
+/// how many were valid.
+fn tally(histogram: &mut [usize], labels: impl IntoIterator<Item = i64>) -> usize {
+    let mut valid = 0;
+    for l in labels {
+        if let Some(slot) = usize::try_from(l).ok().and_then(|l| histogram.get_mut(l)) {
+            *slot += 1;
+            valid += 1;
+        }
+    }
+    valid
+}
+
+/// The labels stored in an encoded tile NetCDF (empty when unlabeled).
+fn stored_labels(bytes: &[u8]) -> Result<Vec<i32>, String> {
+    let nc = NcFile::decode(bytes).map_err(|e| e.to_string())?;
+    let (_, labels) = read_tiles_nc(&nc).map_err(|e| e.to_string())?;
+    Ok(labels.unwrap_or_default())
+}
+
+/// The `.nc` files in `dir`, sorted.
+fn list_nc(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| e.to_string())?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "nc"))
+        .collect();
+    files.sort();
+    Ok(files)
+}
+
+/// `path`'s file name as UTF-8.
+fn file_name(path: &Path) -> Result<String, &'static str> {
+    path.file_name()
+        .and_then(|n| n.to_str())
+        .map(str::to_string)
+        .ok_or("bad file name")
 }
 
 #[cfg(test)]

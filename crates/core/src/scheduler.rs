@@ -12,6 +12,7 @@
 //! durable event.
 
 use crate::campaign::{run_campaign_resumable, CampaignParams, CampaignReport};
+use crate::run::ledger_quantum;
 use crate::streaming::{
     run_streaming_campaign_resumable, StreamingError, StreamingParams, StreamingReport,
 };
@@ -23,9 +24,10 @@ pub fn day_namespace(date: CivilDate) -> String {
     format!("day-{date}")
 }
 
-/// One day of a multi-day run.
+/// One day of a multi-day run: a batch day by default, a streaming day
+/// as [`StreamingDayRun`].
 #[derive(Debug, Clone)]
-pub struct DayRun {
+pub struct DayRun<R = CampaignReport> {
     /// The day.
     pub date: CivilDate,
     /// Ledger namespace holding this day's journal.
@@ -33,12 +35,15 @@ pub struct DayRun {
     /// Events recovered from the day's journal before the run (0 on a
     /// fresh day, >0 when resuming).
     pub recovered_events: usize,
-    /// The single-day campaign report.
-    pub report: CampaignReport,
+    /// The single-day driver's report.
+    pub report: R,
 }
 
+/// One day of a multi-day streaming run.
+pub type StreamingDayRun = DayRun<StreamingReport>;
+
 /// Aggregate result of a multi-day scheduled run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MultiDayReport {
     /// Per-day runs, in date order.
     pub days: Vec<DayRun>,
@@ -71,49 +76,31 @@ impl MultiDayReport {
 /// This is the single admission quantum both multi-day scheduling and the
 /// multi-tenant campaign service are built from: open (or recover) the
 /// namespace's journal, run the single-day resumable driver for `date`,
-/// then bound the journal to snapshot + tail. Killing the process anywhere
-/// inside leaves a journal that resumes; rerunning a completed quantum
-/// replays it with zero re-execution.
-pub fn run_day_in_namespace(
-    params: &CampaignParams,
-    ledger: &Ledger,
-    namespace: &str,
-    date: CivilDate,
-) -> Result<DayRun, JournalError> {
-    run_day_in_namespace_ticked(params, ledger, namespace, date, None)
-}
-
-/// [`run_day_in_namespace`] with a per-quantum tick hook.
+/// then bound the journal to snapshot + tail.
+/// Killing the process anywhere inside leaves a journal that resumes;
+/// rerunning a completed quantum replays it with zero re-execution.
 ///
-/// `tick` runs once, after the quantum durably completes (journal
-/// compacted) but before the result is returned — the seam the ops plane
-/// hangs on: the hook observes the finished [`DayRun`] (makespan advances
-/// the sim-time ops clock, counters roll into windows) exactly once per
-/// *completed* quantum, so a quantum killed mid-run contributes nothing
-/// and is observed on the post-restart replay instead.
-pub fn run_day_in_namespace_ticked(
+/// `tick`, when given, runs once, after the quantum durably completes
+/// (journal compacted) but before the result is returned — the seam the
+/// ops plane hangs on: the hook observes the finished [`DayRun`] (makespan
+/// advances the sim-time ops clock, counters roll into windows) exactly
+/// once per *completed* quantum, so a quantum killed mid-run contributes
+/// nothing and is observed on the post-restart replay instead.
+pub fn run_day_in_namespace(
     params: &CampaignParams,
     ledger: &Ledger,
     namespace: &str,
     date: CivilDate,
     tick: Option<&dyn Fn(&DayRun)>,
 ) -> Result<DayRun, JournalError> {
-    let (journal, recovery) = ledger.open(namespace)?;
     let day_params = CampaignParams {
         start: date,
         days: 1,
         ..params.clone()
     };
-    let report = run_campaign_resumable(day_params, journal)?;
-    // The day is durably complete: bound its journal to snapshot+tail.
-    let (mut journal, _) = ledger.open(namespace)?;
-    journal.compact()?;
-    let day = DayRun {
-        date,
-        namespace: namespace.to_string(),
-        recovered_events: recovery.events,
-        report,
-    };
+    let day = ledger_quantum(ledger, namespace, date, |journal| {
+        run_campaign_resumable(day_params, journal)
+    })?;
     if let Some(tick) = tick {
         tick(&day);
     }
@@ -129,6 +116,7 @@ pub fn run_day_in_namespace_ticked(
 /// long-running multi-day campaign's ledger stays bounded. On a rerun
 /// (same ledger, same params) completed days replay from their journals
 /// with zero re-execution and an interrupted day resumes mid-flight.
+/// `tick` fires once per completed day (see [`run_day_in_namespace`]).
 ///
 /// The ledger root is held exclusively for the duration of the run: a
 /// second concurrent caller over the same root gets a typed
@@ -138,46 +126,17 @@ pub fn run_day_in_namespace_ticked(
 pub fn run_multi_day_resumable(
     params: CampaignParams,
     ledger: &Ledger,
-) -> Result<MultiDayReport, JournalError> {
-    run_multi_day_resumable_ticked(params, ledger, None)
-}
-
-/// [`run_multi_day_resumable`] with a per-quantum tick hook (see
-/// [`run_day_in_namespace_ticked`] for the hook contract).
-pub fn run_multi_day_resumable_ticked(
-    params: CampaignParams,
-    ledger: &Ledger,
     tick: Option<&dyn Fn(&DayRun)>,
 ) -> Result<MultiDayReport, JournalError> {
     let _lock = ledger.lock_exclusive()?;
-    let mut out = MultiDayReport {
-        days: Vec::new(),
-        granules: 0,
-        tile_files: 0,
-        total_tiles: 0.0,
-        labeled_files: 0,
-        makespan_s: 0.0,
-    };
+    let mut out = MultiDayReport::default();
     for date in params.start.iter_days(params.days) {
         let namespace = day_namespace(date);
-        out.push(run_day_in_namespace_ticked(
+        out.push(run_day_in_namespace(
             &params, ledger, &namespace, date, tick,
         )?);
     }
     Ok(out)
-}
-
-/// One day of a multi-day streaming run.
-#[derive(Debug, Clone)]
-pub struct StreamingDayRun {
-    /// The day.
-    pub date: CivilDate,
-    /// Ledger namespace holding this day's journal.
-    pub namespace: String,
-    /// Events recovered from the day's journal before the run.
-    pub recovered_events: usize,
-    /// The single-day streaming report.
-    pub report: StreamingReport,
 }
 
 /// Run a multi-day *streaming* campaign resumably against `ledger` — the
@@ -192,7 +151,6 @@ pub fn run_streaming_days_resumable(
     let mut days = Vec::new();
     for date in params.base.start.iter_days(params.base.days) {
         let namespace = format!("stream-{date}");
-        let (journal, recovery) = ledger.open(&namespace)?;
         let day_params = StreamingParams {
             base: CampaignParams {
                 start: date,
@@ -201,15 +159,9 @@ pub fn run_streaming_days_resumable(
             },
             ..params.clone()
         };
-        let report = run_streaming_campaign_resumable(day_params, journal)?;
-        let (mut journal, _) = ledger.open(&namespace)?;
-        journal.compact()?;
-        days.push(StreamingDayRun {
-            date,
-            namespace,
-            recovered_events: recovery.events,
-            report,
-        });
+        days.push(ledger_quantum(ledger, &namespace, date, |journal| {
+            run_streaming_campaign_resumable(day_params, journal)
+        })?);
     }
     Ok(days)
 }
@@ -246,7 +198,7 @@ mod tests {
     fn multi_day_runs_each_day_in_its_own_namespace() {
         let root = tempdir("namespaces");
         let ledger = Ledger::new(&root).unwrap().with_snapshot_every(8);
-        let report = run_multi_day_resumable(params(3), &ledger).unwrap();
+        let report = run_multi_day_resumable(params(3), &ledger, None).unwrap();
         assert_eq!(report.days.len(), 3);
         assert_eq!(
             ledger.campaigns().unwrap(),
@@ -283,7 +235,7 @@ mod tests {
                 .borrow_mut()
                 .push((day.namespace.clone(), day.report.makespan_s));
         };
-        let report = run_multi_day_resumable_ticked(params(3), &ledger, Some(&tick)).unwrap();
+        let report = run_multi_day_resumable(params(3), &ledger, Some(&tick)).unwrap();
         let seen = ticks.borrow();
         assert_eq!(seen.len(), 3);
         // One tick per day namespace, carrying that day's makespan; the
@@ -302,9 +254,9 @@ mod tests {
     fn rerun_replays_completed_days_without_new_completions() {
         let root = tempdir("replay");
         let ledger = Ledger::new(&root).unwrap();
-        let first = run_multi_day_resumable(params(2), &ledger).unwrap();
+        let first = run_multi_day_resumable(params(2), &ledger, None).unwrap();
         let sizes_after_first = ledger.total_size().unwrap();
-        let second = run_multi_day_resumable(params(2), &ledger).unwrap();
+        let second = run_multi_day_resumable(params(2), &ledger, None).unwrap();
         for day in &second.days {
             assert!(
                 day.recovered_events > 0,
@@ -335,7 +287,7 @@ mod tests {
         let root_a = tempdir("crash-a");
         let root_b = tempdir("crash-b");
         let uninterrupted =
-            run_multi_day_resumable(params(2), &Ledger::new(&root_a).unwrap()).unwrap();
+            run_multi_day_resumable(params(2), &Ledger::new(&root_a).unwrap(), None).unwrap();
 
         // Crash during day 2: open day 2's journal with a kill point set,
         // then run the scheduler — day 1 completes, day 2 dies.
@@ -355,7 +307,7 @@ mod tests {
         }
         // The scheduler now finds a half-written day 2 journal and a fresh
         // day 1; it completes both.
-        let resumed = run_multi_day_resumable(params(2), &ledger).unwrap();
+        let resumed = run_multi_day_resumable(params(2), &ledger, None).unwrap();
         assert!(
             resumed.days[1].recovered_events > 0,
             "day 2 must resume from its crashed journal"
@@ -376,7 +328,7 @@ mod tests {
         let a = Ledger::new(&root).unwrap();
         let b = Ledger::new(&root).unwrap();
         let lock = a.lock_exclusive().unwrap();
-        let handle = std::thread::spawn(move || run_multi_day_resumable(params(2), &b));
+        let handle = std::thread::spawn(move || run_multi_day_resumable(params(2), &b, None));
         match handle.join().unwrap() {
             Err(JournalError::Busy(_)) => {}
             other => panic!("expected Busy conflict, got {other:?}"),
@@ -386,7 +338,7 @@ mod tests {
         drop(lock);
         // Once the first caller releases the root, the run goes through
         // and produces the normal day layout.
-        let report = run_multi_day_resumable(params(2), &a).unwrap();
+        let report = run_multi_day_resumable(params(2), &a, None).unwrap();
         assert_eq!(report.days.len(), 2);
         assert_eq!(a.list().unwrap(), vec!["day-2022-01-01", "day-2022-01-02"]);
         // Streaming takes the same root lock.

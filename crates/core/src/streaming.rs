@@ -19,26 +19,29 @@
 //! queue.
 
 use crate::campaign::{
-    build_shipment_manifest, granule_tiles, granule_trace_id, preprocess_key, CampaignParams,
-    JournalSink, StageReport,
+    granule_tiles, granule_trace_id, preprocess_key, CampaignParams, StageReport,
 };
+use crate::run::{shipment_manifest, JournalGate, Workers};
 use crate::world::World;
 use eoml_cluster::exec::submit_task;
 use eoml_cluster::slurm::request_block;
-use eoml_journal::{CampaignState, Journal, JournalError, JournalEvent, Storage};
+use eoml_journal::{Journal, JournalError, JournalEvent, Storage};
 use eoml_modis::catalog::Catalog;
 use eoml_modis::granule::GranuleId;
 use eoml_modis::product::ProductKind;
 use eoml_obs::TraceContext;
 use eoml_simtime::{SimTime, Simulation};
 use eoml_transfer::flownet::start_flow;
-use eoml_transfer::manifest::ShipmentManifest;
+use eoml_transfer::manifest::{synthetic_digest, ShipmentManifest};
 use eoml_util::units::ByteSize;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Journal label of streaming campaigns.
+const STREAMING_LABEL: &str = "streaming-campaign";
 
 /// Why a streaming campaign could not run (or finish).
 ///
@@ -149,7 +152,7 @@ struct StState {
     // archive schedule
     pending_granules: VecDeque<GranuleId>, // not yet visible
     download_queue: VecDeque<(GranuleId, ProductKind, String, ByteSize)>,
-    download_active: usize,
+    download: Workers,
     parts_arrived: HashMap<GranuleId, usize>,
     granules_downloaded: usize,
     downloaded: ByteSize,
@@ -158,53 +161,45 @@ struct StState {
     // preprocess
     block_nodes: Vec<usize>,
     preprocess_queue: VecDeque<(GranuleId, f64)>,
-    preprocess_active: usize,
+    preprocess: Workers,
     granules_preprocessed: usize,
     first_preprocess: Option<SimTime>,
     last_preprocess: SimTime,
     // inference
     inference_queue: VecDeque<(String, f64)>,
-    inference_active: usize,
-    labeled: usize,
+    inference: Workers,
     // shipment
     shipping: usize,
-    shipped_files: usize,
-    shipped: ByteSize,
-    /// Every shipped `(file, bytes)` pair — manifest input; seeded with
-    /// journal-replayed shipments so a resumed run's manifest still covers
-    /// the whole campaign.
+    /// Every shipped (and so labeled) `(file, bytes)` pair — the shipment
+    /// totals and the manifest input; seeded with journal-replayed
+    /// shipments so a resumed run still covers the whole campaign.
     ship_log: Vec<(String, ByteSize)>,
     last_ship: SimTime,
-    finished: bool,
     manifest: Option<ShipmentManifest>,
-    // journaling
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
-    halted: bool,
+    journal: JournalGate<'static>,
+}
+
+impl StState {
+    fn shipped(&self) -> ByteSize {
+        self.ship_log.iter().map(|&(_, size)| size).sum()
+    }
 }
 
 type S = Rc<RefCell<StState>>;
 
-/// Append `event` to the campaign's journal, if any. Returns `false` when
-/// the append failed (crash point reached): the pipeline must stop — the
-/// event, and everything after it, is not durable.
-fn st_record(st: &S, event: JournalEvent) -> bool {
-    let sink = st.borrow().journal.clone();
-    match sink {
-        None => true,
-        Some(journal) => {
-            if journal.borrow_mut().append(event).is_ok() {
-                true
-            } else {
-                st.borrow_mut().halted = true;
-                false
-            }
-        }
-    }
+/// Whether a journal append has failed: the pipeline stops.
+fn halted(st: &S) -> bool {
+    st.borrow().journal.is_halted()
 }
 
-fn st_halted(st: &S) -> bool {
-    st.borrow().halted
+/// Run one journal-gate call (an append, or a stage start/finish);
+/// `false` once the journal refused an append (crash point reached) — that
+/// event, and everything after it, is not durable.
+fn journal_ok(
+    st: &S,
+    op: impl FnOnce(&mut JournalGate<'static>) -> Result<(), JournalError>,
+) -> bool {
+    op(&mut st.borrow_mut().journal).is_ok()
 }
 
 /// Run a streaming campaign. The archive releases granules on the
@@ -221,7 +216,7 @@ pub fn run_streaming_campaign(params: StreamingParams) -> StreamingReport {
 pub fn try_run_streaming_campaign(
     params: StreamingParams,
 ) -> Result<StreamingReport, StreamingError> {
-    run_streaming_inner(params, None, CampaignState::default())
+    run_streaming_inner(params, JournalGate::default())
 }
 
 /// Run a streaming campaign against a write-ahead `journal`, resuming any
@@ -234,7 +229,8 @@ pub fn try_run_streaming_campaign(
 /// Returns [`StreamingError::Journal`] wrapping [`JournalError::Crashed`]
 /// when the journal's injected kill point fires mid-campaign (see
 /// [`Journal::crash_after`]), and [`StreamingError::UnsupportedDays`] for
-/// multi-day windows — checked before anything is journaled.
+/// multi-day windows — checked before anything is journaled. A journal
+/// another seed or driver wrote is refused with [`JournalError::Foreign`].
 pub fn run_streaming_campaign_resumable<St: Storage + 'static>(
     params: StreamingParams,
     journal: Journal<St>,
@@ -244,36 +240,13 @@ pub fn run_streaming_campaign_resumable<St: Storage + 'static>(
             days: params.base.days,
         });
     }
-    let resume = journal.state().clone();
-    if let Some(seed) = resume.seed {
-        if seed != params.base.seed {
-            return Err(StreamingError::Journal(JournalError::Io(format!(
-                "journal belongs to seed {seed}, campaign params use seed {}",
-                params.base.seed
-            ))));
-        }
-    }
-    if let Some(label) = &resume.label {
-        if label != "streaming-campaign" {
-            return Err(StreamingError::Journal(JournalError::Io(format!(
-                "journal belongs to a {label:?} run, not a streaming campaign"
-            ))));
-        }
-    }
-    let sink: Rc<RefCell<dyn JournalSink>> = Rc::new(RefCell::new(journal));
-    if resume.seed.is_none() {
-        sink.borrow_mut().append(JournalEvent::CampaignStarted {
-            seed: params.base.seed,
-            label: "streaming-campaign".into(),
-        })?;
-    }
-    run_streaming_inner(params, Some(sink), resume)
+    let gate = JournalGate::open(journal, params.base.seed, STREAMING_LABEL)?;
+    run_streaming_inner(params, gate)
 }
 
 fn run_streaming_inner(
     params: StreamingParams,
-    journal: Option<Rc<RefCell<dyn JournalSink>>>,
-    resume: CampaignState,
+    mut journal: JournalGate<'static>,
 ) -> Result<StreamingReport, StreamingError> {
     if params.base.days != 1 {
         return Err(StreamingError::UnsupportedDays {
@@ -300,10 +273,8 @@ fn run_streaming_inner(
     let mut granules_downloaded = 0usize;
     let mut downloaded = ByteSize::ZERO;
     let mut granules_preprocessed = 0usize;
-    let mut labeled = 0usize;
-    let mut shipped_files = 0usize;
-    let mut shipped = ByteSize::ZERO;
     let mut ship_log: Vec<(String, ByteSize)> = Vec::new();
+    let resume = journal.resume();
     for &g in &all {
         let tiles = granule_tiles(seed, g);
         let key = preprocess_key(g, tiles);
@@ -315,19 +286,16 @@ fn run_streaming_inner(
             .into_iter()
             .filter(|&p| resume.is_downloaded(&g.file_name(p)))
             .count();
+        // Journaled products are pre-credited whatever stage comes next.
+        downloaded += ByteSize::bytes(dl_bytes);
         if let Some(&(_, bytes)) = resume.labeled.get(&key) {
             // Label + ship journaled: the granule is fully replayed.
             granules_downloaded += 1;
-            downloaded += ByteSize::bytes(dl_bytes);
             granules_preprocessed += 1;
-            labeled += 1;
-            shipped_files += 1;
-            shipped += ByteSize::bytes(bytes);
             ship_log.push((key, ByteSize::bytes(bytes)));
         } else if resume.has_tile_file(&key) {
             // Preprocessed but not labeled: re-enter at inference.
             granules_downloaded += 1;
-            downloaded += ByteSize::bytes(dl_bytes);
             granules_preprocessed += 1;
             if tiles > 0.0 {
                 inference_seed.push((format!("tiles-{g}.nc"), tiles));
@@ -335,16 +303,30 @@ fn run_streaming_inner(
         } else if dl_parts == 3 {
             // All products durable: re-enter at preprocessing.
             granules_downloaded += 1;
-            downloaded += ByteSize::bytes(dl_bytes);
             preprocess_queue.push_back((g, tiles));
         } else {
-            // Waits for the archive; journaled products are pre-credited and
-            // skipped when the granule is released.
+            // Waits for the archive; journaled products are skipped when
+            // the granule is released.
             if dl_parts > 0 {
-                downloaded += ByteSize::bytes(dl_bytes);
                 parts_arrived.insert(g, dl_parts);
             }
             pending_granules.push_back(g);
+        }
+    }
+
+    // Re-entering at inference counts as a monitor trigger unless one is
+    // already journaled for the file (dedup across restarts).
+    let triggers: Vec<String> = inference_seed
+        .iter()
+        .map(|(file, _)| file.clone())
+        .filter(|file| !resume.monitor_saw(file))
+        .collect();
+    for file in triggers {
+        if journal
+            .record(JournalEvent::MonitorTriggered { file })
+            .is_err()
+        {
+            break;
         }
     }
 
@@ -352,7 +334,7 @@ fn run_streaming_inner(
         params: params.clone(),
         pending_granules,
         download_queue: VecDeque::new(),
-        download_active: 0,
+        download: Workers::new("download"),
         parts_arrived,
         granules_downloaded,
         downloaded,
@@ -360,33 +342,18 @@ fn run_streaming_inner(
         last_download: SimTime::ZERO,
         block_nodes: Vec::new(),
         preprocess_queue,
-        preprocess_active: 0,
+        preprocess: Workers::new("preprocess"),
         granules_preprocessed,
         first_preprocess: None,
         last_preprocess: SimTime::ZERO,
-        inference_queue: inference_seed.iter().cloned().collect(),
-        inference_active: 0,
-        labeled,
+        inference_queue: inference_seed.into(),
+        inference: Workers::new("inference"),
         shipping: 0,
-        shipped_files,
-        shipped,
         ship_log,
         last_ship: SimTime::ZERO,
-        finished: false,
         manifest: None,
         journal,
-        resume,
-        halted: false,
     }));
-
-    // Re-entering at inference counts as a monitor trigger unless one is
-    // already journaled for the file (dedup across restarts).
-    for (file, _) in &inference_seed {
-        let seen = st.borrow().resume.monitor_saw(file);
-        if !seen && !st_record(&st, JournalEvent::MonitorTriggered { file: file.clone() }) {
-            break;
-        }
-    }
 
     // Allocate the preprocessing block up front; polling starts once the
     // nodes are up.
@@ -410,10 +377,11 @@ fn run_streaming_inner(
     let s = Rc::try_unwrap(st)
         .unwrap_or_else(|_| panic!("streaming closures leaked"))
         .into_inner();
-    if s.halted {
+    if s.journal.is_halted() {
         return Err(StreamingError::Journal(JournalError::Crashed));
     }
     assert_eq!(s.granules_downloaded, expected, "archive fully drained");
+    let shipped = s.shipped();
     let mut stages = Vec::new();
     if let Some(t0) = s.first_download {
         stages.push(StageReport {
@@ -437,8 +405,8 @@ fn run_streaming_inner(
         name: "shipment".into(),
         started: s.first_download.unwrap_or(SimTime::ZERO),
         finished: s.last_ship,
-        items: s.shipped_files,
-        bytes: s.shipped,
+        items: s.ship_log.len(),
+        bytes: shipped,
     });
     let makespan_s = [s.last_download, s.last_preprocess, s.last_ship]
         .into_iter()
@@ -447,10 +415,10 @@ fn run_streaming_inner(
     Ok(StreamingReport {
         granules_downloaded: s.granules_downloaded,
         granules_preprocessed: s.granules_preprocessed,
-        labeled_files: s.labeled,
-        shipped_files: s.shipped_files,
+        labeled_files: s.ship_log.len(),
+        shipped_files: s.ship_log.len(),
         downloaded: s.downloaded,
-        shipped: s.shipped,
+        shipped,
         makespan_s,
         stages,
         telemetry: world.telemetry,
@@ -461,7 +429,7 @@ fn run_streaming_inner(
 /// Poll the archive: release granules whose availability time has passed
 /// into the download queue; reschedule until the archive is drained.
 fn poll_archive(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
+    if halted(st) {
         return;
     }
     {
@@ -475,7 +443,7 @@ fn poll_archive(sim: &mut Simulation<World>, st: &S) {
             s.pending_granules.pop_front();
             for product in ProductKind::all() {
                 let name = g.file_name(product);
-                if s.resume.is_downloaded(&name) {
+                if s.journal.resume().is_downloaded(&name) {
                     // Journaled before the crash; pre-credited at setup.
                     continue;
                 }
@@ -485,7 +453,7 @@ fn poll_archive(sim: &mut Simulation<World>, st: &S) {
         }
     }
     pump_downloads(sim, st);
-    let keep_polling = !st.borrow().pending_granules.is_empty() && !st_halted(st);
+    let keep_polling = !st.borrow().pending_granules.is_empty() && !halted(st);
     if keep_polling {
         let period = Duration::from_secs_f64(st.borrow().params.poll_period_s);
         let st2 = Rc::clone(st);
@@ -494,57 +462,38 @@ fn poll_archive(sim: &mut Simulation<World>, st: &S) {
 }
 
 fn pump_downloads(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
+    if halted(st) {
         return;
     }
     loop {
-        let job = {
-            let mut s = st.borrow_mut();
-            if s.download_active >= s.params.base.download_workers {
-                None
-            } else if let Some(job) = s.download_queue.pop_front() {
-                s.download_active += 1;
-                let active = s.download_active;
-                if s.first_download.is_none() {
-                    s.first_download = Some(sim.now());
-                }
-                drop(s);
-                let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("download", now, active);
-                Some(job)
-            } else {
-                None
-            }
-        };
-        let Some((granule, product, name, size)) = job else {
-            break;
+        let now = sim.now();
+        let (granule, product, name, size) = {
+            let s = &mut *st.borrow_mut();
+            let limit = s.params.base.download_workers;
+            let tel = &mut sim.state_mut().telemetry;
+            let Some(job) = s.download.take(&mut s.download_queue, limit, tel, now) else {
+                break;
+            };
+            s.first_download.get_or_insert(now);
+            job
         };
         let st2 = Rc::clone(st);
         let dl_start = sim.now();
         start_flow(sim, "laads", "ace-defiant", size, move |sim, outcome| {
-            if st_halted(&st2) {
+            if halted(&st2) {
                 return;
             }
             let now = sim.now();
-            {
-                let mut s = st2.borrow_mut();
-                s.download_active -= 1;
-                let active = s.download_active;
-                drop(s);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("download", now, active);
-            }
+            st2.borrow_mut()
+                .download
+                .finish(&mut sim.state_mut().telemetry, now);
             if outcome.is_success()
-                && !st_record(
-                    &st2,
-                    JournalEvent::FileDownloaded {
+                && !journal_ok(&st2, |j| {
+                    j.record(JournalEvent::FileDownloaded {
                         file: name.clone(),
                         bytes: size.as_u64(),
-                    },
-                )
+                    })
+                })
             {
                 return;
             }
@@ -587,39 +536,28 @@ fn pump_downloads(sim: &mut Simulation<World>, st: &S) {
 }
 
 fn pump_preprocess(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
+    if halted(st) {
         return;
     }
     loop {
-        let job = {
-            let mut s = st.borrow_mut();
+        let now = sim.now();
+        let (node, (granule, tiles)) = {
+            let s = &mut *st.borrow_mut();
             let slots = s.block_nodes.len() * s.params.base.workers_per_node;
-            if s.preprocess_active >= slots {
-                None
-            } else if let Some(job) = s.preprocess_queue.pop_front() {
-                s.preprocess_active += 1;
-                let active = s.preprocess_active;
-                if s.first_preprocess.is_none() {
-                    s.first_preprocess = Some(sim.now());
-                }
-                let node = s.block_nodes[active % s.block_nodes.len()];
-                drop(s);
-                let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("preprocess", now, active);
-                Some((node, job))
-            } else {
-                None
-            }
-        };
-        let Some((node, (granule, tiles))) = job else {
-            break;
+            let tel = &mut sim.state_mut().telemetry;
+            let Some(job) = s.preprocess.take(&mut s.preprocess_queue, slots, tel, now) else {
+                break;
+            };
+            s.first_preprocess.get_or_insert(now);
+            (
+                s.block_nodes[s.preprocess.active() % s.block_nodes.len()],
+                job,
+            )
         };
         let st2 = Rc::clone(st);
         let pp_start = sim.now();
         submit_task(sim, node, tiles.max(12.0), move |sim| {
-            if st_halted(&st2) {
+            if halted(&st2) {
                 return;
             }
             // Attribute allocations in the completion path (journal
@@ -628,22 +566,20 @@ fn pump_preprocess(sim: &mut Simulation<World>, st: &S) {
                 .state_mut()
                 .telemetry
                 .resource_scope("preprocess", "granule");
-            if !st_record(
-                &st2,
-                JournalEvent::TileFileWritten {
+            if !journal_ok(&st2, |j| {
+                j.record(JournalEvent::TileFileWritten {
                     file: preprocess_key(granule, tiles),
                     tiles: tiles.round() as u64,
-                },
-            ) {
+                })
+            }) {
                 return;
             }
             if tiles > 0.0
-                && !st_record(
-                    &st2,
-                    JournalEvent::MonitorTriggered {
+                && !journal_ok(&st2, |j| {
+                    j.record(JournalEvent::MonitorTriggered {
                         file: format!("tiles-{granule}.nc"),
-                    },
-                )
+                    })
+                })
             {
                 return;
             }
@@ -660,18 +596,13 @@ fn pump_preprocess(sim: &mut Simulation<World>, st: &S) {
             }
             {
                 let mut s = st2.borrow_mut();
-                s.preprocess_active -= 1;
+                s.preprocess.finish(&mut sim.state_mut().telemetry, now);
                 s.granules_preprocessed += 1;
                 s.last_preprocess = now;
-                let active = s.preprocess_active;
                 if tiles > 0.0 {
                     s.inference_queue
                         .push_back((format!("tiles-{granule}.nc"), tiles));
                 }
-                drop(s);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("preprocess", now, active);
             }
             pump_inference(sim, &st2);
             pump_preprocess(sim, &st2);
@@ -681,40 +612,28 @@ fn pump_preprocess(sim: &mut Simulation<World>, st: &S) {
 }
 
 fn pump_inference(sim: &mut Simulation<World>, st: &S) {
-    if st_halted(st) {
+    if halted(st) {
         return;
     }
     loop {
-        let job = {
-            let mut s = st.borrow_mut();
-            if s.inference_active >= s.params.base.inference_workers {
-                None
-            } else if let Some(job) = s.inference_queue.pop_front() {
-                s.inference_active += 1;
-                let active = s.inference_active;
-                drop(s);
-                let now = sim.now();
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("inference", now, active);
-                Some(job)
-            } else {
-                None
-            }
-        };
-        let Some((file, tiles)) = job else {
-            break;
-        };
-        let (rate, tile_bytes) = {
-            let s = st.borrow();
-            (s.params.base.inference_rate, s.params.base.tile_nc_bytes)
+        let now = sim.now();
+        let ((file, tiles), rate, tile_bytes) = {
+            let s = &mut *st.borrow_mut();
+            let p = &s.params.base;
+            let (limit, rate, tile_bytes) =
+                (p.inference_workers, p.inference_rate, p.tile_nc_bytes);
+            let tel = &mut sim.state_mut().telemetry;
+            let Some(job) = s.inference.take(&mut s.inference_queue, limit, tel, now) else {
+                break;
+            };
+            (job, rate, tile_bytes)
         };
         let overhead = sim.state_mut().flow_overhead.sample().total() * 4;
         let compute = Duration::from_secs_f64(tiles / rate);
         let st2 = Rc::clone(st);
         let inf_start = sim.now();
         sim.schedule_in(overhead + compute, move |sim| {
-            if st_halted(&st2) {
+            if halted(&st2) {
                 return;
             }
             let now = sim.now();
@@ -726,15 +645,9 @@ fn pump_inference(sim: &mut Simulation<World>, st: &S) {
                 now,
                 trace.as_ref(),
             );
-            {
-                let mut s = st2.borrow_mut();
-                s.inference_active -= 1;
-                let active = s.inference_active;
-                drop(s);
-                sim.state_mut()
-                    .telemetry
-                    .activity_change("inference", now, active);
-            }
+            st2.borrow_mut()
+                .inference
+                .finish(&mut sim.state_mut().telemetry, now);
             // Ship this labeled file immediately (streaming shipment). The
             // label only becomes durable — and is only counted — once the
             // shipment lands, so a crash between inference and shipment
@@ -751,18 +664,17 @@ fn pump_inference(sim: &mut Simulation<World>, st: &S) {
                 "frontier-orion",
                 size,
                 move |sim, out| {
-                    if st_halted(&st3) {
+                    if halted(&st3) {
                         return;
                     }
                     if out.is_success()
-                        && !st_record(
-                            &st3,
-                            JournalEvent::LabelsAppended {
+                        && !journal_ok(&st3, |j| {
+                            j.record(JournalEvent::LabelsAppended {
                                 file: file.clone(),
                                 labels: tiles.round() as u64,
                                 bytes: size.as_u64(),
-                            },
-                        )
+                            })
+                        })
                     {
                         return;
                     }
@@ -770,9 +682,6 @@ fn pump_inference(sim: &mut Simulation<World>, st: &S) {
                         let mut s = st3.borrow_mut();
                         s.shipping -= 1;
                         if out.is_success() {
-                            s.labeled += 1;
-                            s.shipped_files += 1;
-                            s.shipped += size;
                             s.ship_log.push((file.clone(), size));
                             s.last_ship = sim.now();
                         }
@@ -798,16 +707,16 @@ fn pump_inference(sim: &mut Simulation<World>, st: &S) {
 fn maybe_finish(sim: &mut Simulation<World>, st: &S) {
     {
         let s = st.borrow();
-        if s.finished || s.halted {
+        if s.manifest.is_some() || s.journal.is_halted() {
             return;
         }
         let done = s.pending_granules.is_empty()
             && s.download_queue.is_empty()
-            && s.download_active == 0
+            && s.download.active() == 0
             && s.preprocess_queue.is_empty()
-            && s.preprocess_active == 0
+            && s.preprocess.active() == 0
             && s.inference_queue.is_empty()
-            && s.inference_active == 0
+            && s.inference.active() == 0
             && s.shipping == 0;
         if !done {
             return;
@@ -815,29 +724,34 @@ fn maybe_finish(sim: &mut Simulation<World>, st: &S) {
     }
     let (files, bytes) = {
         let s = st.borrow();
-        (s.shipped_files as u64, s.shipped.as_u64())
+        (s.ship_log.len() as u64, s.shipped().as_u64())
     };
-    if !st_record(st, JournalEvent::ShipmentFinished { files, bytes }) {
+    if !journal_ok(st, |j| {
+        j.record(JournalEvent::ShipmentFinished { files, bytes })
+    }) {
         return;
     }
-    let journal = {
-        let sink = st.borrow().journal.clone();
-        sink.and_then(|j| j.borrow().state_digest())
-    };
     let manifest = {
         let s = st.borrow();
-        build_shipment_manifest(
-            "ace-defiant",
-            "frontier-orion",
-            &s.ship_log,
+        let artifacts = s
+            .ship_log
+            .iter()
+            .map(|(name, size)| {
+                (
+                    name.clone(),
+                    size.as_u64(),
+                    synthetic_digest(name, size.as_u64()),
+                )
+            })
+            .collect();
+        shipment_manifest(
+            artifacts,
             &sim.state().provenance,
-            journal,
+            s.journal.digest(),
             sim.now().as_secs_f64(),
         )
     };
-    let mut s = st.borrow_mut();
-    s.manifest = Some(manifest);
-    s.finished = true;
+    st.borrow_mut().manifest = Some(manifest);
 }
 
 #[cfg(test)]

@@ -37,6 +37,9 @@ pub enum JournalError {
     /// ledger root (see [`crate::Ledger::lock_exclusive`]); concurrent
     /// drivers over one root would interleave namespaces unpredictably.
     Busy(String),
+    /// The journal records another run (seed or driver label) than the
+    /// one trying to resume it.
+    Foreign(String),
 }
 
 impl fmt::Display for JournalError {
@@ -59,6 +62,7 @@ impl fmt::Display for JournalError {
             JournalError::Busy(root) => {
                 write!(f, "ledger root {root:?} is locked by another caller")
             }
+            JournalError::Foreign(msg) => write!(f, "foreign journal: {msg}"),
         }
     }
 }

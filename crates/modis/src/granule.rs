@@ -9,6 +9,7 @@
 use crate::product::{Platform, ProductKind};
 use eoml_util::timebase::{CivilDate, UtcTime};
 use std::fmt;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// Number of 5-minute granule slots in a day.
@@ -79,25 +80,8 @@ impl GranuleId {
     /// Returns the id and the product kind.
     pub fn parse_file_name(name: &str) -> Option<(GranuleId, ProductKind)> {
         let mut parts = name.split('.');
-        let short = parts.next()?;
-        let (kind, platform) = ProductKind::parse_short_name(short)?;
-        let adate = parts.next()?;
-        if !adate.starts_with('A') || adate.len() != 8 {
-            return None;
-        }
-        let year: i32 = adate[1..5].parse().ok()?;
-        let doy: u16 = adate[5..8].parse().ok()?;
-        let date = CivilDate::from_ordinal(year, doy)?;
-        let hhmm = parts.next()?;
-        if hhmm.len() != 4 {
-            return None;
-        }
-        let hh: u16 = hhmm[..2].parse().ok()?;
-        let mm: u16 = hhmm[2..].parse().ok()?;
-        if !mm.is_multiple_of(5) || hh >= 24 || mm >= 60 {
-            return None;
-        }
-        let slot = hh * 12 + mm / 5;
+        let (kind, platform) = ProductKind::parse_short_name(parts.next()?)?;
+        let (date, slot) = parse_date_slot(parts.next()?, parts.next()?)?;
         Some((GranuleId::new(platform, date, slot), kind))
     }
 
@@ -118,6 +102,58 @@ impl fmt::Display for GranuleId {
             self.hhmm()
         )
     }
+}
+
+/// Why a string is not a granule display id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseGranuleIdError;
+
+impl fmt::Display for ParseGranuleIdError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("not a granule id of the form {MOD|MYD}.A<YYYY><DDD>.<HHMM>")
+    }
+}
+
+impl std::error::Error for ParseGranuleIdError {}
+
+/// The inverse of `Display`: parses `MOD.A2022001.0005`.
+impl FromStr for GranuleId {
+    type Err = ParseGranuleIdError;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        let mut parts = s.split('.');
+        let platform = match parts.next() {
+            Some("MOD") => Platform::Terra,
+            Some("MYD") => Platform::Aqua,
+            _ => return Err(ParseGranuleIdError),
+        };
+        let (date, slot) = parts
+            .next()
+            .zip(parts.next())
+            .and_then(|(adate, hhmm)| parse_date_slot(adate, hhmm))
+            .filter(|_| parts.next().is_none())
+            .ok_or(ParseGranuleIdError)?;
+        Ok(GranuleId::new(platform, date, slot))
+    }
+}
+
+/// The `A<YYYY><DDD>` and `<HHMM>` fields shared by file names and display
+/// ids: a valid ordinal date and a slot start (`hh < 24`, `mm` a multiple
+/// of 5 below 60).
+fn parse_date_slot(adate: &str, hhmm: &str) -> Option<(CivilDate, u16)> {
+    let digits = |s: &str| s.bytes().all(|b| b.is_ascii_digit());
+    let ymd = adate
+        .strip_prefix('A')
+        .filter(|d| d.len() == 7 && digits(d))?;
+    if hhmm.len() != 4 || !digits(hhmm) {
+        return None;
+    }
+    let date = CivilDate::from_ordinal(ymd[..4].parse().ok()?, ymd[4..].parse().ok()?)?;
+    let (hh, mm): (u16, u16) = (hhmm[..2].parse().ok()?, hhmm[2..].parse().ok()?);
+    if !mm.is_multiple_of(5) || hh >= 24 || mm >= 60 {
+        return None;
+    }
+    Some((date, hh * 12 + mm / 5))
 }
 
 #[cfg(test)]
@@ -207,5 +243,42 @@ mod tests {
     fn display_compact() {
         let g = GranuleId::new(Platform::Aqua, day1(), 130);
         assert_eq!(g.to_string(), "MYD.A2022001.1050");
+    }
+
+    #[test]
+    fn from_str_rejects_malformed() {
+        for bad in [
+            "",
+            "MOD",
+            "MOD.A2022001",
+            "MOD.A2022001.2400",
+            "MOD.A2022001.0003",
+            "MOD.A2022001.0060",
+            "MOD.X2022001.0005",
+            "MOD.A2022400.0005",
+            "MOD.A+022001.0005",
+            "MOD.A2022001.0005.nc",
+            "MOE.A2022001.0005",
+            "MOD.A2022\u{e9}1.0005",
+        ] {
+            assert_eq!(bad.parse::<GranuleId>(), Err(ParseGranuleIdError), "{bad}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn display_from_str_round_trip(
+            aqua in proptest::prelude::any::<bool>(),
+            year in 1990i32..2100,
+            doy in 1u16..367,
+        ) {
+            let platform = if aqua { Platform::Aqua } else { Platform::Terra };
+            let Some(date) = CivilDate::from_ordinal(year, doy) else {
+                return Ok(());
+            };
+            for g in GranuleId::day_granules(platform, date) {
+                proptest::prop_assert_eq!(g.to_string().parse::<GranuleId>(), Ok(g));
+            }
+        }
     }
 }

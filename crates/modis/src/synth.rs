@@ -179,7 +179,7 @@ impl SwathSynthesizer {
 
     /// Generate the full co-registered swath for `id`.
     ///
-    /// Rows are filled in parallel bands of [`BAND_LINES`] scan lines, each
+    /// Rows are filled in parallel bands of 32 (`BAND_LINES`) scan lines, each
     /// written straight into its slice of the output buffers. Every pixel
     /// is a function of `(seed, id, line, pixel)` alone, so the swath is
     /// bit-identical whatever the thread count.

@@ -62,12 +62,7 @@ pub const TABLES_DIR: &str = "tables";
 /// FNV-1a 64-bit digest of a byte string, rendered as 16 hex digits —
 /// the archive's file-integrity and config-digest primitive.
 pub fn content_digest(bytes: &[u8]) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    format!("{h:016x}")
+    format!("{:016x}", eoml_util::checksum::fnv1a64(bytes))
 }
 
 /// Digest of a run-configuration description string. Callers render the

@@ -81,7 +81,7 @@ impl std::error::Error for MergeError {}
 
 /// Log-bucketed histogram with approximate quantiles and an exact max.
 ///
-/// Up to [`EXACT_SAMPLE_CAP`] raw observations are retained on the side,
+/// Up to 1024 (`EXACT_SAMPLE_CAP`) raw observations are retained on the side,
 /// so small histograms answer [`LogHistogram::exact_summary`] with exact
 /// order statistics; larger ones keep only the buckets.
 ///

@@ -6,7 +6,7 @@
 //! The allocator type [`CountingAlloc`] is always compiled (so it is
 //! testable under the default feature set); *installing* it is the
 //! binary's choice. Binaries built with the `alloc-profile` feature can
-//! call [`install_counting_allocator!`], and any binary (including an
+//! call `install_counting_allocator!`, and any binary (including an
 //! integration-test binary) may declare it directly:
 //!
 //! ```ignore

@@ -49,7 +49,7 @@ impl FacilitySpans {
 }
 
 /// Stamp `facility` onto every span that does not already carry the
-/// attribute (spans recorded through [`crate::ingest`]-style paths often
+/// attribute (spans recorded through `eoml_transfer::ingest`-style paths often
 /// self-tag; everything else inherits the lane's name).
 pub fn tag_facility(mut spans: Vec<SpanRecord>, facility: &str) -> Vec<SpanRecord> {
     for s in &mut spans {

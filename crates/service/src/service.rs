@@ -33,7 +33,7 @@ use crate::spec::CampaignSpec;
 use crate::tenant::{check_campaign_name, TenantSpec};
 use eoml_cluster::{BudgetPool, ClusterSpec};
 use eoml_core::campaign::run_campaign_resumable;
-use eoml_core::scheduler::{run_day_in_namespace_ticked, DayRun};
+use eoml_core::scheduler::{run_day_in_namespace, DayRun};
 use eoml_journal::{FileStorage, Journal};
 use eoml_journal::{JournalError, JournalEvent, Ledger, LedgerLock};
 use eoml_obs::{
@@ -1086,17 +1086,11 @@ impl CampaignService {
                         // The kill point never fired (journal already past
                         // it); fall through via the normal path to compact
                         // and produce the DayRun bookkeeping.
-                        run_day_in_namespace_ticked(
-                            &day_params,
-                            &ledger,
-                            &namespace,
-                            date,
-                            Some(&tick),
-                        )?
+                        run_day_in_namespace(&day_params, &ledger, &namespace, date, Some(&tick))?
                     }
                 }
             } else {
-                run_day_in_namespace_ticked(&day_params, &ledger, &namespace, date, Some(&tick))?
+                run_day_in_namespace(&day_params, &ledger, &namespace, date, Some(&tick))?
             }
         };
         drop(lease);

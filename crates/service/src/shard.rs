@@ -16,11 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 /// FNV-1a over the tenant id: stable across runs, platforms, and restarts
 /// (shard assignment is part of the service's recovery contract).
 pub fn shard_of(tenant: &str, shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tenant.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = eoml_util::checksum::fnv1a64(tenant.as_bytes());
     (h % shards.max(1) as u64) as usize
 }
 

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::{Range, RangeInclusive};
 
-/// Accepted length specifications for [`vec`]: an exact length, `a..b`, or
+/// Accepted length specifications for [`vec()`]: an exact length, `a..b`, or
 /// `a..=b`.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRange {
@@ -50,7 +50,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     size: SizeRange,

@@ -13,22 +13,13 @@
 //! `ProvRecord`) and takes the journal digest as plain numbers; the
 //! drivers convert when they build the manifest at shipment time.
 
+use eoml_util::checksum::{fnv1a64, fnv1a64_update, FNV64_PRIME};
 use serde_json::{json, Value};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x100000001b3;
 
 /// FNV-1a 64-bit digest of a byte payload — the content digest used for
 /// real artifacts (the on-disk pipeline hashes actual file bytes).
 pub fn content_digest(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a64(bytes)
 }
 
 /// Deterministic digest for virtual artifacts that have a name and a
@@ -36,12 +27,7 @@ pub fn content_digest(bytes: &[u8]) -> u64 {
 /// destination computing from the same `(name, bytes)` pair agree; a
 /// corrupted payload is modelled by perturbing the received digest.
 pub fn synthetic_digest(name: &str, bytes: u64) -> u64 {
-    let mut h = content_digest(name.as_bytes());
-    for &b in bytes.to_le_bytes().iter() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a64_update(fnv1a64(name.as_bytes()), &bytes.to_le_bytes())
 }
 
 /// One shipped artifact: name, payload size, content digest, and the
@@ -127,7 +113,7 @@ impl ShipmentManifest {
         h ^= content_digest(self.destination.as_bytes());
         for a in &self.artifacts {
             h = h
-                .wrapping_mul(FNV_PRIME)
+                .wrapping_mul(FNV64_PRIME)
                 .wrapping_add(content_digest(a.name.as_bytes()) ^ a.digest);
         }
         // Only the state checksum feeds the id: the event count shifts

@@ -1,5 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected) — the one checksum both the
-//! granule container and the journal's frames use.
+//! granule container and the journal's frames use — and FNV-1a 64, the one
+//! digest behind artifact content digests, manifest ids, journal work
+//! checksums, run-archive digests and tenant sharding.
 //!
 //! Slice-by-8: eight 256-entry tables, built at compile time, fold eight
 //! input bytes per step instead of one, so the loop carries one table
@@ -67,6 +69,21 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     !c
 }
 
+/// FNV-1a 64-bit prime.
+pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a 64 of `data`.
+pub fn fnv1a64(data: &[u8]) -> u64 {
+    fnv1a64_update(0xcbf2_9ce4_8422_2325, data)
+}
+
+/// Continue the FNV-1a 64 `h` of some prefix over `data`:
+/// `fnv1a64_update(fnv1a64(a), b) == fnv1a64(a ++ b)`.
+pub fn fnv1a64_update(h: u64, data: &[u8]) -> u64 {
+    data.iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,6 +111,14 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn fnv1a64_known_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a64_update(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     proptest! {

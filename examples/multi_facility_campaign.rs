@@ -393,6 +393,7 @@ fn main() {
                     ..CampaignParams::paper_demo()
                 },
                 &ledger,
+                None,
             )
             .expect("multi-day campaign");
             let mut fresh_days = 0;
